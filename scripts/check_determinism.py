@@ -7,7 +7,9 @@ kernel, contended fabric transfers, MPI point-to-point and collectives,
 SMFU bridging with dynamic gateway selection, and checkpoint/restart —
 twice from scratch, digests everything observable (simulated times,
 byte counters, per-gateway load, checkpoint statistics) and exits 0
-only if the two digests agree.
+only if the two digests agree.  OmpSs task graphs (tiled Cholesky and
+a graph of partially overlapping and CONCURRENT regions) get the same
+treatment: edge lists plus dataflow makespans, built and run twice.
 
 Run it before and after touching the kernel or network hot paths::
 
@@ -130,6 +132,55 @@ def run_scenario(seed: int = 7, observe: bool = False) -> dict:
     }
 
 
+def _overlap_graph():
+    """A small graph of partially overlapping and CONCURRENT regions."""
+    from repro.ompss import Region, Task, TaskGraph
+
+    g = TaskGraph(name="overlap")
+    for i in range(6):
+        g.add_task(f"w{i}", flops=1e6 * (i + 1), out=[Region("A", 96 * i, 96 * i + 160)])
+    for i in range(4):
+        t = Task(f"acc{i}", flops=2e6)
+        t.reads(Region("A", 128 * i, 128 * i + 200))
+        t.updates_concurrently(Region("R", 0, 64))
+        g.submit(t)
+    g.add_task("sum", flops=1e6, in_=[Region("R", 0, 64)], inout=[Region("A", 50, 500)])
+    g.add_task("tail", flops=1e6, in_=[Region("A", 0, 700)])
+    return g
+
+
+def run_ompss() -> dict:
+    """OmpSs dependency tracking and dataflow execution.
+
+    Per graph: the edge list (by program position, since task ids are
+    process-global) and the dataflow makespan on one KNC.
+    """
+    from repro.apps import cholesky_graph
+    from repro.hardware import Processor
+    from repro.hardware.catalog import XEON_PHI_KNC
+    from repro.ompss import DataflowScheduler
+
+    observed = {}
+    for graph in (cholesky_graph(12), _overlap_graph()):
+        position = {t.task_id: i for i, t in enumerate(graph.tasks)}
+        edges = sorted(
+            (position[d], position[t]) for t, deps in graph.deps.items() for d in deps
+        )
+        sim = Simulator()
+        proc = Processor(sim, XEON_PHI_KNC)
+
+        def main(sim, graph=graph, proc=proc):
+            return (yield from DataflowScheduler().run(sim, graph, proc))
+
+        driver = sim.process(main(sim))
+        sim.run()
+        observed[graph.name] = {
+            "edges": edges,
+            "makespan_s": driver.value.makespan_s,
+        }
+    return observed
+
+
 def digest(result: dict) -> str:
     blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -175,6 +226,13 @@ def main(argv=None) -> int:
             print(f"  {key}: {first[key]!r} != {obs1[key]!r}")
         return 1
     print(f"deterministic (observability on):  {od1}")
+
+    # OmpSs: region-derived dependencies and the dataflow schedule.
+    om1, om2 = digest(run_ompss()), digest(run_ompss())
+    if om1 != om2:
+        print(f"DETERMINISM VIOLATION in OmpSs: {om1} != {om2}")
+        return 1
+    print(f"deterministic (ompss graphs): {om1}")
 
     # Harness telemetry is wall-clock-only: a sweep's simulated digest
     # must be bit-identical with the telemetry channel on or off.

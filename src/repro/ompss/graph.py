@@ -14,11 +14,12 @@ readers since (WAR), and transitively implied edges are never added.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from typing import Callable, Iterable, Optional
 
 from repro.errors import DependencyCycleError, TaskError
-from repro.ompss.regions import Region, RegionAccess
+from repro.ompss.regions import AccessMode, Region, RegionAccess
 from repro.ompss.task import Task
 
 
@@ -49,12 +50,14 @@ class _Segment:
 
 
 class _SegmentMap:
-    """Sorted, non-overlapping segments of one address space."""
+    """Sorted, non-overlapping segments of one address space, bisected
+    via ``starts[i] == segments[i].start``: O(log n + k) per access."""
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "starts")
 
     def __init__(self) -> None:
         self.segments: list[_Segment] = []
+        self.starts: list[int] = []
 
     def access(self, task_id: int, region: Region, mode) -> set[int]:
         """Record an access; return the exact dependency set.
@@ -65,16 +68,22 @@ class _SegmentMap:
         * IN:         deps += C if C else {W};       R += self
         * OUT/INOUT:  deps += R + C + ({W} if no C); becomes W, clears R/C
         * CONCURRENT: deps += R + {W};               C += self
-        """
-        from repro.ompss.regions import AccessMode
 
+        Bytes never touched before get a fresh segment owned by self.
+        """
         deps: set[int] = set()
         s, e = region.start, region.end
+        segments, starts = self.segments, self.starts
+        # [i, j): the segments overlapping [s, e).
+        i = bisect_right(starts, s) - 1
+        if i < 0 or segments[i].end <= s:
+            i += 1
+        j = bisect_left(starts, e, i)
         out: list[_Segment] = []
-        for seg in self.segments:
-            if seg.end <= s or seg.start >= e:
-                out.append(seg)
-                continue
+        cur = s  # first byte of [s, e) not yet emitted
+        for seg in segments[i:j]:
+            if seg.start > cur:
+                out.append(_fresh(cur, seg.start, task_id, mode))
             # Split off non-overlapping flanks.
             if seg.start < s:
                 out.append(seg.clone(seg.start, s))
@@ -83,6 +92,7 @@ class _SegmentMap:
             if seg.end > e:
                 tail = seg.clone(e, seg.end)
                 seg.end = e
+            cur = seg.end
             # seg now lies fully inside [s, e): collect dependencies.
             writer_dep = {seg.writer} if seg.writer is not None else set()
             if mode is AccessMode.IN:
@@ -103,32 +113,21 @@ class _SegmentMap:
                 out.append(_Segment(seg.start, seg.end, task_id, set()))
             if tail is not None:
                 out.append(tail)
-        # Bytes never touched before: create fresh coverage.
-        for gs, ge in self._gaps(s, e):
-            if mode is AccessMode.IN:
-                out.append(_Segment(gs, ge, None, {task_id}))
-            elif mode is AccessMode.CONCURRENT:
-                out.append(_Segment(gs, ge, None, set(), {task_id}))
-            else:
-                out.append(_Segment(gs, ge, task_id, set()))
-        out.sort(key=lambda g: g.start)
-        self.segments = out
+        if cur < e:
+            out.append(_fresh(cur, e, task_id, mode))
+        segments[i:j] = out
+        starts[i:j] = [g.start for g in out]
         deps.discard(task_id)
         return deps
 
-    def _gaps(self, s: int, e: int) -> list[tuple[int, int]]:
-        gaps = []
-        cur = s
-        for seg in self.segments:
-            if seg.end <= s or seg.start >= e:
-                continue
-            lo = max(seg.start, s)
-            if lo > cur:
-                gaps.append((cur, lo))
-            cur = max(cur, min(seg.end, e))
-        if cur < e:
-            gaps.append((cur, e))
-        return gaps
+
+def _fresh(start: int, end: int, task_id: int, mode) -> _Segment:
+    """Coverage for bytes no earlier task touched."""
+    if mode is AccessMode.IN:
+        return _Segment(start, end, None, {task_id})
+    if mode is AccessMode.CONCURRENT:
+        return _Segment(start, end, None, set(), {task_id})
+    return _Segment(start, end, task_id, set())
 
 
 class TaskGraph:

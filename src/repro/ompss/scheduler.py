@@ -133,7 +133,9 @@ class DataflowScheduler:
             raise TaskError(f"unknown scheduling policy {policy!r}")
         self.policy = policy
 
-    def _priorities(self, graph: TaskGraph, processor: "Processor") -> dict[int, float]:
+    def _priorities(
+        self, graph: TaskGraph, durations: dict[int, float]
+    ) -> dict[int, float]:
         if self.policy == "fifo":
             return {t.task_id: i for i, t in enumerate(graph.tasks)}
         if self.policy == "priority":
@@ -148,7 +150,7 @@ class DataflowScheduler:
         for t in reversed(graph.tasks):
             succ = graph.succs.get(t.task_id, ())
             below = max((bottom[s] for s in succ), default=0.0)
-            bottom[t.task_id] = below + t.duration_on(processor.spec)
+            bottom[t.task_id] = below + durations[t.task_id]
         # Lower value = served first, so negate.
         return {tid: -b for tid, b in bottom.items()}
 
@@ -164,7 +166,10 @@ class DataflowScheduler:
         if not graph.tasks:
             return ScheduleResult(0.0, 0.0, 0, self.policy, 0.0)
         bank = CoreBank(sim, processor.spec.n_cores, name=processor.name)
-        priorities = self._priorities(graph, processor)
+        # Each task's duration, computed once for priorities, execution
+        # and total work.
+        durations = {t.task_id: t.duration_on(processor.spec) for t in graph.tasks}
+        priorities = self._priorities(graph, durations)
         m_tasks = sim.metrics.counter("ompss.tasks_run")
         h_task = sim.metrics.histogram("ompss.task_s")
         done_events: dict[int, Event] = {
@@ -179,8 +184,7 @@ class DataflowScheduler:
             yield bank.acquire(k, priorities[task.task_id])
             task.start_time = sim.now
             try:
-                duration = task.duration_on(processor.spec)
-                yield sim.timeout(duration)
+                yield sim.timeout(durations[task.task_id])
                 if task.fn is not None:
                     task.result = task.fn()
             finally:
@@ -206,7 +210,7 @@ class DataflowScheduler:
         yield sim.all_of(drivers)
 
         makespan = sim.now - start_time
-        total_work = graph.total_work(lambda t: t.duration_on(processor.spec))
+        total_work = graph.total_work(lambda t: durations[t.task_id])
         utilization = bank.utilization(since=start_time)
         spans = {
             t.task_id: (t.start_time, t.end_time)
