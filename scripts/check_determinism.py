@@ -288,6 +288,19 @@ def main(argv=None) -> int:
         )
         return 1
     print(f"deterministic (failure policy on): {pd}")
+
+    # The owned worker pool is under the same contract: the smoke spec
+    # fanned across two spawned workers digests exactly like the
+    # inline run.
+    from repro.sweep.smoke import SMOKE_EXPERIMENTS, SMOKE_SEEDS
+
+    smoke = SweepSpec(experiments=list(SMOKE_EXPERIMENTS), seeds=list(SMOKE_SEEDS))
+    sd1 = run_sweep(smoke, jobs=1).digest()
+    sd2 = run_sweep(smoke, jobs=2).digest()
+    if sd1 != sd2:
+        print(f"WORKER POOL PERTURBED THE SWEEP: {sd1} (jobs=1) != {sd2} (jobs=2)")
+        return 1
+    print(f"deterministic (fanned == serial sweep): {sd2}")
     return 0
 
 

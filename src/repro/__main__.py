@@ -205,7 +205,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run an experiment x seed sweep through the cache + process pool."""
+    """Run an experiment x seed sweep through the cache + worker pool."""
     from repro.sweep import (
         EXPERIMENTS,
         FailurePolicy,
@@ -320,7 +320,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         refresh=args.refresh,
         obs_dir=obs_dir,
         progress=per_job_lines,
-        isolate=args.isolate,
         telemetry=telemetry,
         heartbeat=heartbeat,
         policy=policy,
@@ -755,10 +754,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument(
         "--summary-out", default=None, metavar="PATH",
         help="write the full JSON sweep report to PATH",
-    )
-    p_sweep.add_argument(
-        "--isolate", action="store_true",
-        help="fresh worker process per job (max_tasks_per_child=1)",
     )
     p_sweep.add_argument(
         "--quiet", "-q", action="store_true",

@@ -20,7 +20,7 @@ it with a torn-line-tolerant reader.  Record kinds::
     job.retry      {t, job, failures, delay_s, error}      (parent)
     job.timeout    {t, job, attempt, elapsed_s, timeout_s} (parent)
     job.quarantine {t, job, error, attempts, timed_out, experiment, seed}
-    pool.restart   {t, reason, restarts, n_requeued}       (parent)
+    pool.restart   {t, reason, restarts}                   (parent)
     cache.hit      {t, job, digest, experiment, seed}      (parent)
     cache.promote  {t, job, digest, bytes, n_artifacts}    (parent)
     sweep.end      {t, n_done, n_quarantined, aborted,

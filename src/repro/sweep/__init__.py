@@ -10,12 +10,14 @@ it at scale:
   ``(experiment, config, seed, code version)``;
 * :mod:`repro.sweep.cache` — the content-addressed, atomically-written
   on-disk result cache (repeated sweeps are ~free);
-* :mod:`repro.sweep.engine` — the process-pool executor, progress
-  reporting and merged summary;
+* :mod:`repro.sweep.engine` — the owned worker pool and its scheduler,
+  progress reporting and merged summary;
 * :mod:`repro.sweep.policy` — the failure policy (per-job timeouts,
-  bounded deterministic retries, pool-crash recovery, quarantine);
+  bounded deterministic retries, worker-crash recovery, quarantine);
 * :mod:`repro.sweep.chaos` — the env-gated deterministic fault
   injector CI uses to prove chaos-ridden sweeps converge;
+* :mod:`repro.sweep.smoke` — the ``--smoke`` / ``--smoke-chaos`` CI
+  gates;
 * :mod:`repro.sweep.obsglue` — shared observability-export helpers
   (also used by ``benchmarks/conftest.py``).
 
@@ -37,10 +39,9 @@ from repro.sweep.engine import (
     SweepReport,
     SweepSpec,
     execute_job,
-    run_chaos_smoke,
-    run_smoke,
     run_sweep,
 )
+from repro.sweep.smoke import run_chaos_smoke, run_smoke
 from repro.sweep.policy import FailurePolicy, JobFailure
 from repro.sweep.experiments import (
     EXPERIMENTS,

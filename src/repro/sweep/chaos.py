@@ -12,10 +12,10 @@ so a job that crashed on attempt 0 draws independently on attempt 1.
 Fault modes (fixed evaluation order, at most one fires per attempt):
 
 ``crash``
-    The worker process dies mid-job (``os._exit``) — in the parent this
-    surfaces as ``BrokenProcessPool``, exercising pool respawn.  On the
-    serial path it raises :class:`ChaosCrash` instead (a process cannot
-    usefully kill itself).
+    The worker process dies mid-job (``os._exit``) — the parent sees the
+    worker's pipe close, fails that one job and replaces that one
+    worker.  On the serial path it raises :class:`ChaosCrash` instead (a
+    process cannot usefully kill itself).
 ``hang``
     The job sleeps ``REPRO_CHAOS_HANG_S`` seconds (default 30) before
     running — long enough to trip any sane per-job timeout, after which
@@ -51,7 +51,7 @@ CHAOS_SALT_ENV = "REPRO_CHAOS_SALT"
 MODES = ("crash", "hang", "corrupt")
 
 #: Exit status of a chaos-crashed worker (distinctive in core dumps
-#: and CI logs; any nonzero abrupt exit breaks the pool identically).
+#: and CI logs; any abrupt exit is handled identically).
 CRASH_EXIT_CODE = 64
 
 

@@ -2,11 +2,15 @@
 
 Expands a :class:`SweepSpec` into ``(experiment, config, seed)`` jobs,
 serves what it can from the content-addressed :class:`ResultCache`, and
-fans the misses out across a process pool.  Every job runs in its own
-worker process with a fresh interpreter state (``spawn`` start method)
-and — when observability is requested — its own private staging
-directory for exports, which the engine promotes into the cache entry
-and then materialises into the user's ``REPRO_OBS_DIR``.
+fans the misses out across a small pool of owned worker processes.
+Each worker is spawned (``spawn`` start method, so no inherited
+simulator state), imports :mod:`repro` once and serves jobs for the
+whole sweep; one scheduler loop hands out jobs, kills and replaces a
+single worker when its job hangs or the worker dies, and charges the
+failure to that job alone.  When observability is requested every job
+gets its own private staging directory for exports, which the engine
+promotes into the cache entry and then materialises into the user's
+``REPRO_OBS_DIR``.
 
 Determinism: the simulator promises bit-identical results for identical
 ``(config, seed)`` regardless of which process runs them, so a fanned
@@ -19,20 +23,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
+import pickle
 import shutil
 import tempfile
 import time
 import traceback as traceback_mod
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -40,6 +38,7 @@ from repro.errors import (
     ConfigurationError,
     JobTimeoutError,
     ResultIntegrityError,
+    SweepError,
     WorkerCrashError,
 )
 from repro.obs.fleet import (
@@ -51,9 +50,6 @@ from repro.obs.fleet import (
 from repro.sweep import digests
 from repro.sweep.cache import ResultCache
 from repro.sweep.chaos import (
-    CHAOS_ENV,
-    CHAOS_HANG_ENV,
-    CHAOS_SALT_ENV,
     CRASH_EXIT_CODE,
     ChaosCrash,
     ChaosSpec,
@@ -66,12 +62,6 @@ from repro.sweep.experiments import (
 )
 from repro.sweep.obsglue import OBS_DIR_ENV
 from repro.sweep.policy import FailurePolicy, JobFailure
-
-#: Start method for worker processes.  ``spawn`` gives per-job isolation
-#: (no inherited simulator state, no forked locks); override with
-#: ``REPRO_SWEEP_START_METHOD=fork`` to trade isolation for startup cost.
-START_METHOD_ENV = "REPRO_SWEEP_START_METHOD"
-
 
 @dataclass(frozen=True)
 class Job:
@@ -170,7 +160,7 @@ class SweepReport:
     n_retries: int = 0
     #: Attempts killed for exceeding the per-job wall-clock budget.
     n_timeouts: int = 0
-    #: Times the worker pool was respawned after a crash or a kill.
+    #: Workers replaced after dying mid-job or being killed on a timeout.
     n_pool_restarts: int = 0
     #: ``True`` when ``fail_fast`` / ``max_failures`` stopped the sweep
     #: before every job settled.
@@ -196,8 +186,6 @@ class SweepReport:
         warm (cache-served) sweeps — the determinism gate of the CI
         smoke run.
         """
-        import hashlib
-
         doc = sorted(
             (r.job.digest, digests.canonical_json(r.payload))
             for r in self.results
@@ -290,49 +278,16 @@ def execute_job(
     return {"metrics": digests.canonical(metrics)}
 
 
-def _execute_with_chaos(
-    experiment: str,
-    config: dict,
-    seed: int,
-    staging_dir: Optional[str],
-    digest: str,
-    attempt: int,
-    in_worker: bool,
-) -> tuple[dict, str]:
-    """Run one attempt, with env-gated fault injection around it.
+def _run_task(task: tuple, in_worker: bool) -> tuple[bool, Any]:
+    """Run one dispatched attempt, with env-gated fault injection around
+    it: ``(True, (payload, checksum, wall))`` or ``(False, exception)``.
 
-    Returns ``(payload, checksum)`` where the checksum is taken over
-    the *true* payload before any injected corruption — the parent's
-    integrity check is what turns a corrupted result into a retry
-    instead of a poisoned report.
-    """
-    spec = ChaosSpec.from_env()
-    mode = spec.draw(digest, attempt) if spec.active else None
-    if mode == "crash":
-        if in_worker:
-            # Die abruptly, mid-pool-protocol: the parent sees
-            # BrokenProcessPool, exactly like an OOM-killed worker.
-            os._exit(CRASH_EXIT_CODE)
-        raise ChaosCrash(
-            f"injected crash: job {digest[:12]} attempt {attempt}"
-        )
-    if mode == "hang":
-        # A straggler, not a wrong answer: sleep long enough to trip
-        # any per-job timeout, then (if still alive) answer correctly.
-        time.sleep(spec.hang_s)
-    payload = execute_job(experiment, config, seed, staging_dir)
-    checksum = digests.payload_checksum(payload)
-    if mode == "corrupt":
-        payload = corrupt_payload(payload, digest, attempt)
-    return payload, checksum
-
-
-def _pool_main(task: tuple) -> tuple:
-    """Top-level pool entry point (must be picklable).
-
-    With a telemetry channel the worker itself emits ``job.start`` /
-    ``job.end`` — that is what gives the parent (and ``obs top``) live
-    worker occupancy instead of only after-the-fact completions.
+    The checksum is taken over the *true* payload before any injected
+    corruption — the parent's integrity check is what turns a corrupted
+    result into a retry instead of a poisoned report.  With a telemetry
+    channel the executor itself emits ``job.start`` / ``job.end`` —
+    that is what gives the parent (and ``obs top``) live worker
+    occupancy instead of only after-the-fact completions.
     """
     index, attempt, experiment, config, seed, digest, staging_dir, telemetry_path = task
     writer = None
@@ -342,13 +297,120 @@ def _pool_main(task: tuple) -> tuple:
         writer = TelemetryWriter(telemetry_path)
         writer.emit("job.start", job=index, worker=os.getpid(), attempt=attempt)
     t0 = time.perf_counter()
-    payload, checksum = _execute_with_chaos(
-        experiment, config, seed, staging_dir, digest, attempt, in_worker=True
-    )
+    try:
+        spec = ChaosSpec.from_env()
+        mode = spec.draw(digest, attempt) if spec.active else None
+        if mode == "crash":
+            if in_worker:
+                # Die abruptly, mid-job: the parent sees the worker's
+                # pipe close and its sentinel fire, exactly like an OOM
+                # kill.
+                os._exit(CRASH_EXIT_CODE)
+            raise ChaosCrash(
+                f"injected crash: job {digest[:12]} attempt {attempt}"
+            )
+        if mode == "hang":
+            # A straggler, not a wrong answer: sleep long enough to trip
+            # any per-job timeout, then (if still alive) answer correctly.
+            time.sleep(spec.hang_s)
+        payload = execute_job(experiment, config, seed, staging_dir)
+    except Exception as exc:
+        return False, exc
+    checksum = digests.payload_checksum(payload)
+    if mode == "corrupt":
+        payload = corrupt_payload(payload, digest, attempt)
     wall = time.perf_counter() - t0
     if writer is not None:
         writer.emit("job.end", job=index, worker=os.getpid(), wall_s=wall)
-    return index, attempt, payload, checksum, wall
+    return True, (payload, checksum, wall)
+
+
+def _worker_main(conn) -> None:
+    """Owned-pool worker: run the tasks *conn* delivers until it closes."""
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        ok, value = _run_task(task, in_worker=True)
+        if not ok:
+            # Ship the error with its worker-side traceback; one that
+            # would not survive the pickle round trip travels as text.
+            text = "".join(
+                traceback_mod.format_exception(type(value), value, value.__traceback__)
+            )
+            try:
+                pickle.loads(pickle.dumps(value))
+            except Exception:
+                value = SweepError(f"{type(value).__name__}: {value}")
+            value = (value, text)
+        conn.send((ok, value))
+
+
+class _Worker:
+    """One owned worker process and the parent's end of its pipe.
+
+    The worker imports :mod:`repro` once and serves every task it is
+    handed for the rest of the sweep; the scheduler kills and replaces
+    it individually when it hangs or dies.
+    """
+
+    def __init__(self, ctx) -> None:
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+        self.proc.start()
+        # Only the worker holds the child end now, so its death reads
+        # as EOF on ours.
+        child.close()
+
+    def send(self, task: tuple) -> None:
+        try:
+            self.conn.send(task)
+        except OSError:
+            # Died while idle: the wait sees its sentinel and the
+            # scheduler treats it like a crash mid-task.
+            pass
+
+    def recv(self) -> tuple[bool, Any]:
+        ok, value = self.conn.recv()
+        if not ok:
+            value, text = value
+            value.__cause__ = SweepError(f"worker traceback:\n{text}")
+        return ok, value
+
+    def stop(self) -> None:
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
+class _InlineWorker:
+    """The ``jobs == 1`` executor: runs each task in this process.
+
+    Its reply exists as soon as :meth:`send` returns, and it cannot be
+    killed mid-job — which is why timeouts bite only on pooled sweeps.
+    """
+
+    proc = None
+
+    def send(self, task: tuple) -> None:
+        self.reply = _run_task(task, in_worker=False)
+
+    def recv(self) -> tuple[bool, Any]:
+        return self.reply
+
+    def stop(self) -> None:
+        pass
+
+
+def _ready(busy, timeout: Optional[float]) -> list:
+    """The busy workers with something to collect: a reply, or death."""
+    handles = {}
+    for worker in busy:
+        if worker.proc is None:
+            return [worker]
+        handles[worker.conn] = handles[worker.proc.sentinel] = worker
+    return list(dict.fromkeys(handles[h] for h in wait(list(handles), timeout)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +440,6 @@ def run_sweep(
     refresh: bool = False,
     obs_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
-    isolate: bool = False,
     telemetry: Optional[Path] = None,
     heartbeat: Optional[Callable[[], None]] = None,
     heartbeat_interval: float = 0.5,
@@ -400,9 +461,6 @@ def run_sweep(
         enabled and their artifacts enter the cache).
     progress:
         ``fn(done, total, result)`` called as each job settles.
-    isolate:
-        Give every job a brand-new worker process
-        (``max_tasks_per_child=1``) instead of reusing pool workers.
     telemetry:
         Path of the wall-clock telemetry channel (JSONL).  The parent
         records submit/cache/promote events, workers stream start/end
@@ -417,10 +475,10 @@ def run_sweep(
         least every *heartbeat_interval* seconds while workers are
         busy) — the hook that drives the live ``--progress`` view.
     policy:
-        Failure policy (timeouts, bounded retries, pool respawn,
-        quarantine).  ``None`` keeps the legacy contract: the first job
-        exception propagates and aborts the sweep.  When ``REPRO_CHAOS``
-        is armed and no policy was given, a default policy is applied —
+        Failure policy (timeouts, bounded retries, quarantine).
+        ``None`` keeps the legacy contract: the first job exception
+        propagates and aborts the sweep.  When ``REPRO_CHAOS`` is armed
+        and no policy was given, a default policy is applied —
         injected faults are meant to be absorbed, not fatal.
     """
     if jobs < 1:
@@ -465,6 +523,10 @@ def run_sweep(
         if heartbeat is not None:
             heartbeat()
 
+    def emit(kind: str, **fields: Any) -> None:
+        if tele is not None:
+            tele.emit(kind, **fields)
+
     # Fleet run index: one manifest per job, appended at the cache
     # root.  Purely export-side — no cache, no index, no cost.
     fleet_index = indexed_ids = None
@@ -482,50 +544,41 @@ def run_sweep(
         )
         fleet_index.record(manifest, known_ids=indexed_ids)
 
-    def record_quarantine_manifest(job: Job, failure: JobFailure) -> None:
-        # Quarantines are indexed under their own run id and source so
-        # they never shadow a later successful run of the same digest,
-        # and ``obs rebuild --check`` (which replays only cache-backed
-        # "sweep" manifests) stays byte-stable.
-        if fleet_index is None:
-            return
-        manifest = RunManifest(
-            run_id=f"{job.digest}:quarantine",
-            source="quarantine",
-            experiment=job.experiment,
-            config=job.config,
-            seed=job.seed,
-            code_version=code,
-            makespan_s=None,
-            partial=True,
-            status="quarantined",
-        )
-        fleet_index.record(manifest, known_ids=indexed_ids)
-
     results: dict[int, JobResult] = {}
-    done = 0
-
-    # Failure-policy bookkeeping.  ``fail_counts`` is the retry budget
-    # (attributed failures only — an innocent job re-enqueued after a
-    # pool kill does not burn budget); ``quarantined`` is terminal.
-    fail_counts: dict[int, int] = {}
     quarantined: dict[int, JobFailure] = {}
     counters = {"retries": 0, "timeouts": 0, "pool_restarts": 0}
     aborted = False
+    # The scheduler's one queue: ``(release_time, index, attempt)``.
+    # Fresh jobs release at 0 (index order); a retry releases when its
+    # backoff delay has passed.
+    queue: list[tuple[float, int, int]] = []
 
     def settle(index: int, result: JobResult) -> None:
-        nonlocal done
         results[index] = result
-        done += 1
         if progress is not None:
-            progress(done, len(job_list), result)
+            progress(len(results), len(job_list), result)
         tick()
 
-    def quarantine(
-        index: int, job: Job, attempts: int, exc: BaseException,
+    def fail(
+        index: int, job: Job, attempt: int, exc: BaseException,
         timed_out: bool = False,
     ) -> None:
+        """Charge one failed attempt to the one job that made it:
+        requeue it after a backoff, quarantine it once its retries are
+        spent, or — without a policy — re-raise."""
         nonlocal aborted
+        if policy is None:
+            raise exc
+        failures = attempt + 1
+        if failures <= policy.max_retries:
+            delay = policy.backoff_s(job.digest, failures)
+            counters["retries"] += 1
+            emit(
+                "job.retry", job=index, failures=failures,
+                delay_s=delay, error=type(exc).__name__,
+            )
+            heapq.heappush(queue, (time.monotonic() + delay, index, failures))
+            return
         failure = JobFailure(
             index=index,
             experiment=job.experiment,
@@ -534,44 +587,40 @@ def run_sweep(
             error_class=type(exc).__name__,
             message=str(exc)[:500],
             traceback_digest=_traceback_digest(exc),
-            attempts=attempts,
+            attempts=failures,
             timed_out=timed_out,
         )
         quarantined[index] = failure
-        if tele is not None:
-            tele.emit(
-                "job.quarantine", job=index, error=failure.error_class,
-                attempts=attempts, timed_out=timed_out,
-                experiment=job.experiment, seed=job.seed,
+        emit(
+            "job.quarantine", job=index, error=failure.error_class,
+            attempts=failures, timed_out=timed_out,
+            experiment=job.experiment, seed=job.seed,
+        )
+        if fleet_index is not None:
+            # Quarantines are indexed under their own run id and source
+            # so they never shadow a later successful run of the same
+            # digest, and ``obs rebuild --check`` (which replays only
+            # cache-backed "sweep" manifests) stays byte-stable.
+            manifest = RunManifest(
+                run_id=f"{job.digest}:quarantine",
+                source="quarantine",
+                experiment=job.experiment,
+                config=job.config,
+                seed=job.seed,
+                code_version=code,
+                makespan_s=None,
+                partial=True,
+                status="quarantined",
             )
-        record_quarantine_manifest(job, failure)
-        assert policy is not None
-        if policy.fail_fast:
-            aborted = True
-        if (
+            fleet_index.record(manifest, known_ids=indexed_ids)
+        if policy.fail_fast or (
             policy.max_failures is not None
             and len(quarantined) > policy.max_failures
         ):
             aborted = True
         tick()
 
-    def fail_decision(index: int, job: Job, exc: BaseException):
-        """Consume retry budget; ``("retry", delay)`` or ``("quarantine", _)``."""
-        assert policy is not None
-        fail_counts[index] = fail_counts.get(index, 0) + 1
-        if fail_counts[index] > policy.max_retries:
-            return ("quarantine", 0.0)
-        delay = policy.backoff_s(job.digest, fail_counts[index])
-        counters["retries"] += 1
-        if tele is not None:
-            tele.emit(
-                "job.retry", job=index, failures=fail_counts[index],
-                delay_s=delay, error=type(exc).__name__,
-            )
-        return ("retry", delay)
-
     # -- pass 1: cache lookups -----------------------------------------
-    to_run: list[tuple[int, Job]] = []
     for i, job in enumerate(job_list):
         hit = None if (cache is None or refresh) else cache.get(job.digest)
         if hit is not None:
@@ -579,7 +628,7 @@ def run_sweep(
             # An entry recorded without artifacts cannot serve an
             # observability-requesting sweep; re-run and upgrade it.
             if want_obs and not meta.get("artifacts"):
-                to_run.append((i, job))
+                queue.append((0.0, i, 0))
                 continue
             artifacts = []
             if want_obs:
@@ -590,14 +639,13 @@ def run_sweep(
             # is re-indexed from the cached artifacts.
             if indexed_ids is not None and job.digest not in indexed_ids:
                 record_manifest(job, payload, cache.artifact_paths(job.digest))
-            if tele is not None:
-                tele.emit(
-                    "cache.hit", job=i, digest=job.digest,
-                    experiment=job.experiment, seed=job.seed,
-                )
+            emit(
+                "cache.hit", job=i, digest=job.digest,
+                experiment=job.experiment, seed=job.seed,
+            )
             settle(i, JobResult(job, payload, True, 0.0, artifacts))
         else:
-            to_run.append((i, job))
+            queue.append((0.0, i, 0))
 
     # -- pass 2: execute misses ----------------------------------------
     staging_root = (
@@ -610,20 +658,6 @@ def run_sweep(
         d = staging_root / f"job{index}"
         d.mkdir(parents=True, exist_ok=True)
         return str(d)
-
-    def submit_event(index: int, job: Job, attempt: int = 0) -> None:
-        if tele is not None:
-            tele.emit(
-                "job.submit", job=index, digest=job.digest,
-                experiment=job.experiment, seed=job.seed, attempt=attempt,
-            )
-
-    def verify_payload(job: Job, payload: dict, checksum: str) -> None:
-        if digests.payload_checksum(payload) != checksum:
-            raise ResultIntegrityError(
-                f"payload of {job.label} failed its integrity checksum "
-                f"between worker and parent"
-            )
 
     def finish_run(
         index: int, job: Job, payload: dict, wall: float, attempts: int = 1
@@ -646,12 +680,11 @@ def run_sweep(
                 },
                 artifacts=staged,
             )
-            if tele is not None:
-                tele.emit(
-                    "cache.promote", job=index, digest=job.digest,
-                    bytes=cache.bytes_promoted - promoted_before,
-                    n_artifacts=len(staged),
-                )
+            emit(
+                "cache.promote", job=index, digest=job.digest,
+                bytes=cache.bytes_promoted - promoted_before,
+                n_artifacts=len(staged),
+            )
         record_manifest(job, payload, staged)
         if want_obs:
             for src in staged:
@@ -664,287 +697,110 @@ def run_sweep(
             ),
         )
 
+    # One scheduler loop for both executors.  A pooled sweep owns up to
+    # ``n_workers`` spawned processes, started on demand: a timeout
+    # kills only the overdue worker, a dead worker fails only the job
+    # it was running, and either way that one worker is replaced.  A
+    # serial sweep (or a lone miss) runs inline through the same loop.
+    inline = jobs == 1 or len(queue) <= 1
+    n_workers = min(jobs, len(queue))
+    timeout_s = policy.timeout_s if policy is not None else None
+    tele_path = str(telemetry) if tele is not None else None
+    ctx = get_context("spawn")
+    idle: list = []
+    busy: dict = {}  # worker -> (index, attempt, dispatch time)
+
+    def lose(worker, reason: str) -> None:
+        worker.stop()
+        counters["pool_restarts"] += 1
+        emit(
+            "pool.restart", reason=reason,
+            restarts=counters["pool_restarts"],
+        )
+
     try:
-        if jobs == 1 or len(to_run) <= 1:
-            # Serial path.  Retries and quarantine apply; timeouts do
-            # not (a process cannot kill itself mid-job).
-            for index, job in to_run:
-                if aborted:
-                    break
-                attempt = 0
-                while True:
-                    submit_event(index, job, attempt)
-                    if tele is not None:
-                        tele.emit(
-                            "job.start", job=index, worker=os.getpid(),
-                            attempt=attempt,
-                        )
-                    t0 = time.perf_counter()
-                    try:
-                        payload, checksum = _execute_with_chaos(
-                            job.experiment, job.config, job.seed,
-                            staging_for(index), job.digest, attempt,
-                            in_worker=False,
-                        )
-                        verify_payload(job, payload, checksum)
-                    except Exception as exc:
-                        if policy is None:
-                            raise
-                        verdict, delay = fail_decision(index, job, exc)
-                        if verdict == "quarantine":
-                            quarantine(index, job, attempt + 1, exc)
-                            break
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    wall = time.perf_counter() - t0
-                    if tele is not None:
-                        tele.emit(
-                            "job.end", job=index, worker=os.getpid(),
-                            wall_s=wall,
-                        )
-                    finish_run(index, job, payload, wall, attempts=attempt + 1)
-                    break
-        else:
-            method = os.environ.get(START_METHOD_ENV, "spawn")
-            ctx = get_context(method)
-            pool_kwargs: dict[str, Any] = {}
-            if isolate:
-                pool_kwargs["max_tasks_per_child"] = 1
-            tele_path = str(telemetry) if tele is not None else None
-            n_workers = min(jobs, len(to_run))
-
-            def make_pool() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
-                    max_workers=n_workers, mp_context=ctx, **pool_kwargs
+        while (queue or busy) and not aborted:
+            while (
+                queue and queue[0][0] <= time.monotonic()
+                and len(busy) < n_workers
+            ):
+                _, index, attempt = heapq.heappop(queue)
+                job = job_list[index]
+                emit(
+                    "job.submit", job=index, digest=job.digest,
+                    experiment=job.experiment, seed=job.seed,
+                    attempt=attempt,
                 )
-
-            # Scheduler state: jobs ready to submit, jobs sleeping off a
-            # backoff delay (min-heap on release time), and in-flight
-            # futures with their submit timestamps (the timeout clock).
-            # Submission is throttled to the worker count so "in flight"
-            # means "actually running" and deadlines are honest.
-            ready: deque[tuple[int, Job, int]] = deque(
-                (i, job, 0) for i, job in to_run
+                worker = (
+                    idle.pop() if idle
+                    else _InlineWorker() if inline else _Worker(ctx)
+                )
+                busy[worker] = (index, attempt, time.monotonic())
+                worker.send(
+                    (index, attempt, job.experiment, job.config, job.seed,
+                     job.digest, staging_for(index), tele_path)
+                )
+            # Wake up for the heartbeat, the earliest job deadline, or
+            # the earliest backoff release — whichever comes first.
+            wake = []
+            if timeout_s is not None:
+                wake = [t0 + timeout_s for (_, _, t0) in busy.values()]
+            if heartbeat is not None:
+                wake.append(time.monotonic() + heartbeat_interval)
+            if queue and len(busy) < n_workers:
+                wake.append(queue[0][0])
+            wait_s = (
+                max(min(wake) - time.monotonic(), 0.0) + 0.01 if wake else None
             )
-            delayed: list[tuple[float, int, Job, int]] = []
-            in_flight: dict[Future, tuple[int, Job, int, float]] = {}
-            pool = make_pool()
-
-            def kill_pool(reason: str, n_requeued: int) -> None:
-                # ProcessPoolExecutor cannot kill a single worker, so a
-                # timeout (or crash cleanup) takes down the whole pool;
-                # innocent in-flight jobs are re-enqueued at no cost to
-                # their retry budgets.
-                for proc in list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                ):
-                    try:
-                        proc.terminate()
-                    except Exception:  # pragma: no cover - racing exit
-                        pass
-                pool.shutdown(wait=False, cancel_futures=True)
-                counters["pool_restarts"] += 1
-                if tele is not None:
-                    tele.emit(
-                        "pool.restart", reason=reason,
-                        restarts=counters["pool_restarts"],
-                        n_requeued=n_requeued,
-                    )
-
-            def requeue(index: int, job: Job, attempt: int, delay: float) -> None:
-                if delay <= 0:
-                    ready.append((index, job, attempt))
-                else:
-                    heapq.heappush(
-                        delayed, (time.monotonic() + delay, index, job, attempt)
-                    )
-
-            def drain_in_flight() -> list[tuple[int, Job, int, float]]:
-                victims = list(in_flight.values())
-                in_flight.clear()
-                return victims
-
-            timeout_s = policy.timeout_s if policy is not None else None
-            # Crash respawns draw on policy.max_pool_restarts; timeout
-            # kills are policy-initiated and already bounded by the
-            # per-job retry budgets, so they do not consume it.
-            crash_restarts = 0
-            try:
-                while (ready or delayed or in_flight) and not aborted:
-                    now = time.monotonic()
-                    while delayed and delayed[0][0] <= now:
-                        _, i, job, att = heapq.heappop(delayed)
-                        ready.append((i, job, att))
-                    pool_broken = False
-                    while ready and len(in_flight) < n_workers:
-                        i, job, att = ready.popleft()
-                        submit_event(i, job, att)
-                        try:
-                            fut = pool.submit(
-                                _pool_main,
-                                (i, att, job.experiment, job.config, job.seed,
-                                 job.digest, staging_for(i), tele_path),
-                            )
-                        except BrokenExecutor:
-                            if policy is None:
-                                raise
-                            ready.appendleft((i, job, att))
-                            pool_broken = True
-                            break
-                        in_flight[fut] = (i, job, att, time.monotonic())
-                    if not pool_broken:
-                        if not in_flight:
-                            if delayed:
-                                # Everything is backing off; sleep until
-                                # the earliest release.
-                                time.sleep(
-                                    max(delayed[0][0] - time.monotonic(), 0.0)
-                                )
-                            continue
-                        # Wake up for the heartbeat, the earliest job
-                        # deadline, or the earliest backoff release —
-                        # whichever comes first.
-                        wait_t: Optional[float] = (
-                            heartbeat_interval if heartbeat is not None else None
+            for worker in _ready(busy, wait_s):
+                index, attempt, _ = busy.pop(worker)
+                job = job_list[index]
+                try:
+                    ok, value = worker.recv()
+                except (EOFError, OSError):
+                    lose(worker, "crash")
+                    fail(index, job, attempt, WorkerCrashError(
+                        f"worker died while running {job.label} "
+                        f"(exit code {worker.proc.exitcode})"
+                    ))
+                    continue
+                idle.append(worker)
+                if ok:
+                    payload, checksum, wall = value
+                    if digests.payload_checksum(payload) == checksum:
+                        finish_run(
+                            index, job, payload, wall, attempts=attempt + 1
                         )
-                        if timeout_s is not None:
-                            next_deadline = min(
-                                t0 + timeout_s for (_, _, _, t0) in in_flight.values()
-                            )
-                            dt = max(next_deadline - time.monotonic(), 0.0) + 0.01
-                            wait_t = dt if wait_t is None else min(wait_t, dt)
-                        if delayed:
-                            dt = max(delayed[0][0] - time.monotonic(), 0.0) + 0.01
-                            wait_t = dt if wait_t is None else min(wait_t, dt)
-                        finished, _ = wait(
-                            set(in_flight),
-                            timeout=wait_t,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        tick()
-                        first_break: Optional[BaseException] = None
-                        for fut in finished:
-                            index, job, att, _t0 = in_flight.pop(fut)
-                            try:
-                                _, _, payload, checksum, wall = fut.result()
-                                verify_payload(job, payload, checksum)
-                            except BrokenExecutor as exc:
-                                # The worker died mid-job: the pool is
-                                # toast and every sibling future breaks
-                                # with it.  The broken job is charged a
-                                # failure; siblings ride back for free.
-                                pool_broken = True
-                                first_break = exc
-                                crash = WorkerCrashError(
-                                    f"pool worker died while running "
-                                    f"{job.label}: {exc}"
-                                )
-                                if policy is not None:
-                                    verdict, delay = fail_decision(
-                                        index, job, crash
-                                    )
-                                    if verdict == "quarantine":
-                                        quarantine(index, job, att + 1, crash)
-                                    else:
-                                        requeue(index, job, att + 1, delay)
-                            except Exception as exc:
-                                if policy is None:
-                                    raise
-                                verdict, delay = fail_decision(index, job, exc)
-                                if verdict == "quarantine":
-                                    quarantine(index, job, att + 1, exc)
-                                else:
-                                    requeue(index, job, att + 1, delay)
-                            else:
-                                finish_run(
-                                    index, job, payload, wall,
-                                    attempts=att + 1,
-                                )
-                        if pool_broken and policy is None:
-                            raise first_break  # pragma: no cover - defensive
-                    if pool_broken:
-                        victims = drain_in_flight()
-                        kill_pool("crash", len(victims))
-                        crash_restarts += 1
-                        if crash_restarts > policy.max_pool_restarts:
-                            # Restart budget exhausted: quarantine the
-                            # stranded jobs and stop rather than thrash.
-                            crash = WorkerCrashError(
-                                "worker pool kept crashing; restart budget "
-                                f"({policy.max_pool_restarts}) exhausted"
-                            )
-                            for i, job, att, _t0 in victims:
-                                quarantine(i, job, att + 1, crash)
-                            for i, job, att in list(ready) + [
-                                (i, j, a) for (_, i, j, a) in delayed
-                            ]:
-                                quarantine(i, job, att + 1, crash)
-                            ready.clear()
-                            delayed.clear()
-                            aborted = True
-                        else:
-                            for i, job, att, _t0 in victims:
-                                requeue(i, job, att + 1, 0.0)
-                            pool = make_pool()
                         continue
-                    # -- per-job wall-clock deadlines ------------------
-                    if timeout_s is not None and in_flight:
-                        now = time.monotonic()
-                        expired = [
-                            (fut, v)
-                            for fut, v in in_flight.items()
-                            if now - v[3] >= timeout_s and not fut.done()
-                        ]
-                        if expired:
-                            expired_futs = {fut for fut, _ in expired}
-                            survivors = [
-                                v for fut, v in in_flight.items()
-                                if fut not in expired_futs
-                            ]
-                            in_flight.clear()
-                            kill_pool(
-                                "timeout", len(expired) + len(survivors)
-                            )
-                            for _fut, (index, job, att, t0) in expired:
-                                counters["timeouts"] += 1
-                                exc = JobTimeoutError(
-                                    job.label, timeout_s, now - t0
-                                )
-                                if tele is not None:
-                                    tele.emit(
-                                        "job.timeout", job=index, attempt=att,
-                                        elapsed_s=now - t0,
-                                        timeout_s=timeout_s,
-                                    )
-                                verdict, delay = fail_decision(index, job, exc)
-                                if verdict == "quarantine":
-                                    quarantine(
-                                        index, job, att + 1, exc,
-                                        timed_out=True,
-                                    )
-                                else:
-                                    requeue(index, job, att + 1, delay)
-                            for index, job, att, _t0 in survivors:
-                                requeue(index, job, att + 1, 0.0)
-                            if not aborted and (ready or delayed):
-                                pool = make_pool()
-            finally:
-                if in_flight or aborted:
-                    # Hung or cancelled workers must not outlive the
-                    # sweep: tear the pool down hard.  (_processes is
-                    # None once the pool has been shut down.)
-                    for proc in list(
-                        (getattr(pool, "_processes", None) or {}).values()
-                    ):
-                        try:
-                            proc.terminate()
-                        except Exception:  # pragma: no cover
-                            pass
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    pool.shutdown(wait=True)
+                    value = ResultIntegrityError(
+                        f"payload of {job.label} failed its integrity "
+                        f"checksum between worker and parent"
+                    )
+                fail(index, job, attempt, value)
+            tick()
+            if timeout_s is None:
+                continue
+            now = time.monotonic()
+            for worker, (index, attempt, t0) in list(busy.items()):
+                if now - t0 < timeout_s:
+                    continue
+                del busy[worker]
+                counters["timeouts"] += 1
+                emit(
+                    "job.timeout", job=index, attempt=attempt,
+                    elapsed_s=now - t0, timeout_s=timeout_s,
+                )
+                lose(worker, "timeout")
+                job = job_list[index]
+                fail(
+                    index, job, attempt,
+                    JobTimeoutError(job.label, timeout_s, now - t0),
+                    timed_out=True,
+                )
     finally:
+        # Hung or cancelled workers must not outlive the sweep.
+        for worker in idle + list(busy):
+            worker.stop()
         if staging_root is not None:
             shutil.rmtree(staging_root, ignore_errors=True)
 
@@ -961,7 +817,7 @@ def run_sweep(
 
         tele.emit(
             "sweep.end",
-            n_done=done,
+            n_done=len(results),
             n_quarantined=len(quarantined),
             aborted=aborted,
             cache={
@@ -979,213 +835,3 @@ def run_sweep(
     # skipping the heartbeat path.
     tick()
     return report
-
-
-# ---------------------------------------------------------------------------
-# CI smoke
-# ---------------------------------------------------------------------------
-
-#: The two cheapest experiments carry the CI smoke run.
-SMOKE_EXPERIMENTS = ("pingpong", "checkpoint_resilience")
-SMOKE_SEEDS = (0, 1)
-
-
-def run_smoke(
-    jobs: int = 2, cache_root=None, echo=print, telemetry_dir=None
-) -> int:
-    """Cold + warm smoke sweep; returns a process exit code.
-
-    Runs 2 experiments x 2 seeds twice against one cache: the cold pass
-    simulates everything, the warm pass must be served >= 95% from the
-    cache with a bit-identical sweep digest.
-
-    With *telemetry_dir* each pass streams a harness-telemetry channel
-    (``cold.telemetry.jsonl`` / ``warm.telemetry.jsonl``) and the smoke
-    additionally asserts the telemetry totals agree with what actually
-    happened: every job accounted for on both passes, cold stores and
-    warm cache hits matching the job count.  This is CI's proof that
-    the telemetry layer measures the harness rather than inventing it.
-    """
-    spec = SweepSpec(experiments=list(SMOKE_EXPERIMENTS), seeds=list(SMOKE_SEEDS))
-    owns_root = cache_root is None
-    root = Path(cache_root) if cache_root else Path(tempfile.mkdtemp(prefix="repro-sweep-smoke-"))
-    channels = {}
-    if telemetry_dir is not None:
-        telemetry_dir = Path(telemetry_dir)
-        telemetry_dir.mkdir(parents=True, exist_ok=True)
-        for phase in ("cold", "warm"):
-            channels[phase] = telemetry_dir / f"{phase}.telemetry.jsonl"
-            channels[phase].unlink(missing_ok=True)
-    try:
-        cache = ResultCache(root)
-        t0 = time.perf_counter()
-        cold = run_sweep(spec, jobs=jobs, cache=cache, telemetry=channels.get("cold"))
-        t_cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = run_sweep(spec, jobs=jobs, cache=cache, telemetry=channels.get("warm"))
-        t_warm = time.perf_counter() - t0
-        n = len(warm.results)
-        frac = warm.n_cached / n if n else 0.0
-        echo(
-            f"sweep smoke: cold {cold.n_ran}/{len(cold.results)} simulated "
-            f"({t_cold:.2f}s), warm {warm.n_cached}/{n} from cache "
-            f"({t_warm:.2f}s)"
-        )
-        if cold.digest() != warm.digest():
-            echo("SMOKE FAILED: warm sweep digest differs from cold run")
-            return 1
-        if frac < 0.95:
-            echo(
-                f"SMOKE FAILED: warm pass only {frac:.0%} cache-served "
-                f"(need >= 95%)"
-            )
-            return 1
-        if channels:
-            failures = _check_smoke_telemetry(cold, warm, echo)
-            if failures:
-                for message in failures:
-                    echo(f"SMOKE FAILED: {message}")
-                return 1
-        echo(f"sweep smoke passed (digest {cold.digest()[:16]}…)")
-        return 0
-    finally:
-        if owns_root:
-            shutil.rmtree(root, ignore_errors=True)
-
-
-#: Pinned chaos schedule for the CI chaos smoke.  The code-version pin
-#: freezes every job digest, and the digests freeze every fault draw —
-#: so the smoke injects the *same* crashes/hangs/corruptions on every
-#: machine and every commit, forever.
-CHAOS_SMOKE_CODE_VERSION = "chaos-smoke-v1"
-CHAOS_SMOKE_SPEC = "crash:0.3,hang:0.2,corrupt:0.3"
-CHAOS_SMOKE_SALT = "ci"
-# A pool crash fails every in-flight future, so each collateral victim
-# burns a retry too — the budget must absorb ~n_workers times the
-# actual fault count.
-CHAOS_SMOKE_POLICY = dict(
-    timeout_s=5.0,
-    max_retries=20,
-    backoff_base_s=0.02,
-    backoff_max_s=0.2,
-    max_pool_restarts=64,
-)
-
-
-def run_chaos_smoke(jobs: int = 4, echo=print) -> int:
-    """Chaos parity smoke; returns a process exit code.
-
-    Runs the smoke spec twice under one failure policy — once clean,
-    once with ``REPRO_CHAOS`` injecting worker crashes, hangs and
-    corrupted payloads — and asserts the sweep *converges*: every job
-    retries to completion, nothing is quarantined, and the chaos-ridden
-    report digest is bit-identical to the clean one.  The clean pass
-    must also report zero retries/timeouts/restarts, proving the policy
-    layer is inert when nothing fails.
-    """
-    spec = SweepSpec(experiments=list(SMOKE_EXPERIMENTS), seeds=list(SMOKE_SEEDS))
-    policy = FailurePolicy(**CHAOS_SMOKE_POLICY)
-    saved = {
-        key: os.environ.get(key)
-        for key in (
-            digests.CODE_VERSION_ENV, CHAOS_ENV, CHAOS_HANG_ENV,
-            CHAOS_SALT_ENV,
-        )
-    }
-    try:
-        os.environ[digests.CODE_VERSION_ENV] = CHAOS_SMOKE_CODE_VERSION
-        os.environ.pop(CHAOS_ENV, None)
-        clean = run_sweep(spec, jobs=jobs, policy=policy)
-        if not clean.ok or clean.n_retries or clean.n_timeouts \
-                or clean.n_pool_restarts:
-            echo(
-                "CHAOS SMOKE FAILED: clean run was not clean "
-                f"(retries {clean.n_retries}, timeouts {clean.n_timeouts}, "
-                f"restarts {clean.n_pool_restarts}, "
-                f"quarantined {len(clean.failures)})"
-            )
-            return 1
-        os.environ[CHAOS_ENV] = CHAOS_SMOKE_SPEC
-        os.environ[CHAOS_HANG_ENV] = "60"
-        os.environ[CHAOS_SALT_ENV] = CHAOS_SMOKE_SALT
-        t0 = time.perf_counter()
-        chaotic = run_sweep(spec, jobs=jobs, policy=policy)
-        t_chaos = time.perf_counter() - t0
-        echo(
-            f"chaos sweep: {len(chaotic.results)}/{len(clean.results)} jobs "
-            f"converged in {t_chaos:.1f}s — {chaotic.n_retries} retries, "
-            f"{chaotic.n_timeouts} timeouts, "
-            f"{chaotic.n_pool_restarts} pool restarts"
-        )
-        if chaotic.failures:
-            for f in chaotic.failures:
-                echo(
-                    f"CHAOS SMOKE FAILED: {f.label} quarantined after "
-                    f"{f.attempts} attempts ({f.error_class}: {f.message})"
-                )
-            return 1
-        if len(chaotic.results) != len(clean.results):
-            echo("CHAOS SMOKE FAILED: chaos run settled fewer jobs")
-            return 1
-        if chaotic.digest() != clean.digest():
-            echo(
-                "CHAOS SMOKE FAILED: chaos-ridden sweep digest differs "
-                f"from the clean run ({chaotic.digest()[:16]} != "
-                f"{clean.digest()[:16]})"
-            )
-            return 1
-        if not (chaotic.n_retries or chaotic.n_timeouts or chaotic.n_pool_restarts):
-            # A chaos run that injected nothing proves nothing.
-            echo("CHAOS SMOKE FAILED: chaos plane injected no faults")
-            return 1
-        echo(
-            f"chaos smoke passed: digest parity under injected faults "
-            f"({clean.digest()[:16]}…)"
-        )
-        return 0
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
-def _check_smoke_telemetry(
-    cold: SweepReport, warm: SweepReport, echo=print
-) -> list[str]:
-    """Telemetry-vs-reality mismatches of a smoke run (empty = ok)."""
-    failures: list[str] = []
-
-    def expect(phase: str, what: str, got, want) -> None:
-        if got != want:
-            failures.append(
-                f"{phase} telemetry {what} = {got!r}, expected {want!r}"
-            )
-
-    for phase, report in (("cold", cold), ("warm", warm)):
-        summary = report.telemetry
-        if summary is None:
-            failures.append(f"{phase} pass carried no telemetry summary")
-            continue
-        n = len(report.results)
-        expect(phase, "n_jobs", summary.get("n_jobs"), n)
-        expect(phase, "n_completed", summary.get("n_completed"), n)
-        expect(phase, "n_cached", summary.get("n_cached"), report.n_cached)
-        expect(phase, "n_ran", summary.get("n_ran"), report.n_ran)
-        cache_counts = summary.get("cache") or {}
-        if phase == "cold":
-            expect(phase, "cache.stores", cache_counts.get("stores"), n)
-        else:
-            expect(phase, "cache.hits", cache_counts.get("hits"), n)
-    if not failures:
-        cold_cache = (cold.telemetry or {}).get("cache", {})
-        echo(
-            "sweep smoke telemetry ok: "
-            f"cold ran {cold.telemetry['n_ran']}/{cold.telemetry['n_jobs']} "
-            f"(stores {cold_cache.get('stores')}, "
-            f"{cold_cache.get('bytes_promoted', 0)} bytes promoted), "
-            f"warm cache hit rate "
-            f"{(warm.telemetry.get('cache') or {}).get('hit_rate'):.0%}"
-        )
-    return failures

@@ -3,8 +3,8 @@
 The policy layer is what lets a sweep degrade gracefully instead of
 aborting: hung jobs are killed after a wall-clock budget, failed jobs
 are retried a bounded number of times with exponential backoff, a
-crashed worker pool is respawned, and jobs that exhaust their retry
-budget are *quarantined* — recorded in the report's structured failure
+crashed worker is replaced, and jobs that exhaust their retry budget
+are *quarantined* — recorded in the report's structured failure
 section while the rest of the fleet completes.
 
 Everything here is deterministic on purpose.  Backoff jitter is seeded
@@ -36,7 +36,8 @@ class FailurePolicy:
     #: cannot kill itself.
     timeout_s: Optional[float] = None
     #: Failed attempts a job may burn before quarantine; the job runs at
-    #: most ``max_retries + 1`` times.
+    #: most ``max_retries + 1`` times.  Only the job that failed is
+    #: charged, so this also bounds a job that keeps crashing workers.
     max_retries: int = 3
     #: First-retry backoff delay in seconds.
     backoff_base_s: float = 0.05
@@ -47,9 +48,6 @@ class FailurePolicy:
     #: Jitter amplitude: a delay ``d`` becomes ``d * (1 ± jitter)``,
     #: deterministically per (job digest, failure count).
     jitter: float = 0.5
-    #: Pool respawns after :class:`BrokenProcessPool` before the sweep
-    #: gives up and quarantines whatever was in flight.
-    max_pool_restarts: int = 3
     #: Abort the sweep at the first quarantined job.
     fail_fast: bool = False
     #: Abort once more than this many jobs are quarantined
@@ -74,10 +72,6 @@ class FailurePolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(
                 f"jitter must be in [0, 1), got {self.jitter}"
-            )
-        if self.max_pool_restarts < 0:
-            raise ConfigurationError(
-                f"max_pool_restarts must be >= 0, got {self.max_pool_restarts}"
             )
         if self.max_failures is not None and self.max_failures < 0:
             raise ConfigurationError(

@@ -434,7 +434,7 @@ def failure_events():
         {"schema": 1, "kind": "job.retry", "t": 103.0, "job": 0,
          "failures": 1, "delay_s": 0.05, "error": "ChaosCrash"},
         {"schema": 1, "kind": "pool.restart", "t": 103.1, "reason": "crash",
-         "restarts": 1, "n_requeued": 2},
+         "restarts": 1},
         # ... then runs to completion on a fresh attempt.
         {"schema": 1, "kind": "job.submit", "t": 104.0, "job": 0,
          "digest": "d0", "experiment": "pingpong", "seed": 0, "attempt": 1},

@@ -234,7 +234,7 @@ def test_heartbeat_and_end_totals_on_fully_cached_sweep(tmp_path):
 
 
 def test_run_smoke_with_telemetry_dir(tmp_path, capsys):
-    from repro.sweep.engine import run_smoke
+    from repro.sweep.smoke import run_smoke
 
     code = run_smoke(
         jobs=1, cache_root=tmp_path / "cache",

@@ -34,7 +34,6 @@ def test_policy_validation():
         dict(backoff_factor=0.5),
         dict(jitter=1.0),
         dict(jitter=-0.1),
-        dict(max_pool_restarts=-1),
         dict(max_failures=-1),
     ):
         with pytest.raises(ConfigurationError):
@@ -248,7 +247,7 @@ def test_serial_chaos_converges_to_clean_digest(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Pooled sweeps: crash recovery and timeouts (slow: real process pools)
+# Pooled sweeps: crash recovery and timeouts (slow: real worker processes)
 # ---------------------------------------------------------------------------
 
 
@@ -275,7 +274,7 @@ def test_pool_recovers_from_a_worker_crash(monkeypatch):
     jobs = SPEC.resolve()
     d0, d1 = jobs[0].digest, jobs[1].digest
     # Job 0 crashes its worker on the first attempt and only then; job 1
-    # is never hit directly (it may still be collateral of the kill).
+    # is never hit.
     salt = _salt_where(
         {"crash": 0.5},
         {d0: [(0, "crash"), (1, None), (2, None), (3, None)],
@@ -286,11 +285,33 @@ def test_pool_recovers_from_a_worker_crash(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_SALT", salt)
     policy = FailurePolicy(
         max_retries=4, backoff_base_s=0.0, backoff_max_s=0.0,
-        max_pool_restarts=5,
     )
     report = run_sweep(SPEC, jobs=2, policy=policy)
     assert report.ok, [f.as_dict() for f in report.failures]
-    assert report.n_pool_restarts >= 1
+    assert report.n_pool_restarts == 1 and report.n_retries == 1
+    assert report.digest() == clean.digest()
+
+
+def test_pool_crash_blames_only_the_crashed_job(monkeypatch):
+    jobs = SPEC.resolve()
+    d0, d1 = jobs[0].digest, jobs[1].digest
+    # Job 0 crashes its worker on attempt 0 while job 1 sleeps through a
+    # 2 s hang on the other worker: job 1 is surely in flight when the
+    # crash lands, and must not be charged for it.
+    salt = _salt_where(
+        {"crash": 0.3, "hang": 0.3},
+        {d0: [(0, "crash"), (1, None)], d1: [(0, "hang"), (1, None)]},
+    )
+    clean = run_sweep(SPEC, jobs=1)
+    monkeypatch.setenv("REPRO_CHAOS", "crash:0.3,hang:0.3")
+    monkeypatch.setenv("REPRO_CHAOS_SALT", salt)
+    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "2")
+    policy = FailurePolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
+    report = run_sweep(SPEC, jobs=2, policy=policy)
+    assert report.ok, [f.as_dict() for f in report.failures]
+    assert report.n_retries == 1 and report.n_pool_restarts == 1
+    attempts = {r.job.digest: r.attempts for r in report.results}
+    assert attempts == {d0: 2, d1: 1}
     assert report.digest() == clean.digest()
 
 
@@ -304,15 +325,16 @@ def test_pool_timeout_kills_and_quarantines_hung_jobs(monkeypatch):
     assert not report.results and len(report.failures) == 2
     assert all(f.timed_out for f in report.failures)
     assert all(f.error_class == "JobTimeoutError" for f in report.failures)
-    assert report.n_timeouts >= 2
+    assert report.n_timeouts == 2
 
 
-def test_pool_crash_budget_exhaustion_aborts(monkeypatch):
+def test_pool_crash_loop_is_bounded_by_each_jobs_retries(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "crash:1")
-    policy = FailurePolicy(
-        max_retries=50, backoff_base_s=0.0, backoff_max_s=0.0,
-        max_pool_restarts=1,
-    )
+    policy = FailurePolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
     report = run_sweep(SPEC, jobs=2, policy=policy)
-    assert report.aborted and not report.results
-    assert report.failures  # in-flight victims quarantined on abort
+    assert not report.aborted and not report.results
+    assert len(report.failures) == 2
+    for f in report.failures:
+        assert f.attempts == 3 and f.error_class == "WorkerCrashError"
+    assert report.n_retries == 4
+    assert report.n_pool_restarts == 6  # one replaced worker per crash
