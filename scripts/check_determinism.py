@@ -10,6 +10,8 @@ byte counters, per-gateway load, checkpoint statistics) and exits 0
 only if the two digests agree.  OmpSs task graphs (tiled Cholesky and
 a graph of partially overlapping and CONCURRENT regions) get the same
 treatment: edge lists plus dataflow makespans, built and run twice.
+The sweep sections run under a pinned code version, so the digests
+they print move only when simulated results do.
 
 Run it before and after touching the kernel or network hot paths::
 
@@ -22,10 +24,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Code version the sweep sections run under, so their digests depend
+#: only on simulated results and stay comparable across commits.
+SWEEP_CODE_VERSION = "check-determinism-v1"
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
@@ -233,6 +239,11 @@ def main(argv=None) -> int:
         print(f"DETERMINISM VIOLATION in OmpSs: {om1} != {om2}")
         return 1
     print(f"deterministic (ompss graphs): {om1}")
+
+    # Sweep digests embed the code version, a hash of every source
+    # file; pinning it (spawned workers inherit the environment) makes
+    # the sweep digests below comparable across commits.
+    os.environ["REPRO_SWEEP_CODE_VERSION"] = SWEEP_CODE_VERSION
 
     # Harness telemetry is wall-clock-only: a sweep's simulated digest
     # must be bit-identical with the telemetry channel on or off.

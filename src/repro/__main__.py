@@ -276,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     if telemetry is not None and telemetry.exists():
         # The channel is a per-invocation stream: a stale file would
-        # pollute the live view's job state and the final summary.
+        # mix an earlier sweep's records into what ``obs top`` reads.
         telemetry.unlink()
 
     live = None
@@ -284,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.progress:
         from repro.obs.telemetry import LiveProgress
 
-        live = LiveProgress(telemetry)
+        live = LiveProgress()
         heartbeat = live.refresh
 
     def progress(done, total, result):

@@ -17,7 +17,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Union
+from typing import Any, Iterator, Optional, Union
 
 PathLike = Union[str, os.PathLike]
 
@@ -78,7 +78,7 @@ def append_line(path: PathLike, line: str, sync: bool = True) -> None:
     """Append one newline-terminated record to *path* (parents created).
 
     The whole record goes down in a single ``O_APPEND`` write, so
-    concurrent appenders (sweep workers, parallel CI jobs) never
+    concurrent appenders (parallel sweeps, parallel CI jobs) never
     interleave *within* a record on a local filesystem.  Readers of
     append-only JSONL files should still skip unparsable lines: a crash
     mid-write can leave at most one torn record at the tail, which is
@@ -99,3 +99,25 @@ def append_line(path: PathLike, line: str, sync: bool = True) -> None:
             os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def parse_json_object(line: str) -> Optional[dict]:
+    """A JSONL line's record, or ``None`` if it is blank, torn, not JSON
+    or not a JSON object."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def read_jsonl(path: PathLike) -> list[dict]:
+    """Every record of an append-only JSONL file, in order.  A missing
+    file reads as empty; lines :func:`parse_json_object` rejects (a
+    writer died mid-:func:`append_line`, say) are skipped, never fatal."""
+    try:
+        with open(path, "r") as fh:
+            docs = [parse_json_object(line) for line in fh]
+    except FileNotFoundError:
+        return []
+    return [doc for doc in docs if doc is not None]

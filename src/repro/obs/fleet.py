@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.fsutil import append_line, atomic_write_json, ensure_parent
+from repro.fsutil import append_line, atomic_write_json, ensure_parent, read_jsonl
 
 #: Manifest format version (bump on incompatible schema changes).
 MANIFEST_SCHEMA = 1
@@ -425,24 +425,17 @@ class FleetIndex:
         """All readable manifests, deduplicated by ``run_id`` (first
         record wins; duplicates are identical by construction).  Torn
         or foreign lines are skipped, never fatal."""
-        if not self.path.exists():
-            return []
         seen: set[str] = set()
         out: list[RunManifest] = []
-        with open(self.path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                    manifest = RunManifest.from_dict(doc)
-                except (ValueError, KeyError, TypeError):
-                    continue
-                if manifest.run_id in seen:
-                    continue
-                seen.add(manifest.run_id)
-                out.append(manifest)
+        for doc in read_jsonl(self.path):
+            try:
+                manifest = RunManifest.from_dict(doc)
+            except (ValueError, KeyError, TypeError):
+                continue
+            if manifest.run_id in seen:
+                continue
+            seen.add(manifest.run_id)
+            out.append(manifest)
         return out
 
     def run_ids(self) -> set[str]:
@@ -515,21 +508,7 @@ class FleetIndex:
 
     def load_harness(self) -> list[dict]:
         """All readable harness summaries (torn lines skipped)."""
-        if not self.harness_path.exists():
-            return []
-        out = []
-        with open(self.harness_path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(doc, dict):
-                    out.append(doc)
-        return out
+        return read_jsonl(self.harness_path)
 
     def rewrite(self, manifests: list[RunManifest]) -> None:
         """Atomically replace the index file with *manifests* (sorted

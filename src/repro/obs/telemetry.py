@@ -7,22 +7,26 @@ runs on the *other* clock: wall seconds spent queueing, scheduling,
 simulating and promoting results into the cache.  This module is the
 observability layer for that harness.
 
-The channel is a per-sweep JSONL file (the **telemetry channel**):
-workers and the parent append single-line JSON records via
-:func:`repro.fsutil.append_line` (one ``O_APPEND`` write per record, no
-fsync), and the parent — or a later ``python -m repro obs top`` — tails
-it with a torn-line-tolerant reader.  Record kinds::
+The sweep parent emits every record once, through one in-memory
+:class:`TelemetryWriter` stream that the report, summary and live view
+fold over; with a per-sweep JSONL file (the **telemetry channel**) it
+also appends each record via :func:`repro.fsutil.append_line` (one
+``O_APPEND`` write, no fsync) as the file's only writer, and
+``python -m repro obs top`` tails it with a torn-line-tolerant reader.
+Workers write nothing; the parent stamps ``job.start`` with the clock
+reading a worker sends over its pipe as it picks the job up.  Record
+kinds::
 
     sweep.start    {t, n_jobs, n_workers, experiments}
-    job.submit     {t, job, digest, experiment, seed, attempt}   (parent)
-    job.start      {t, job, worker, attempt}               (worker)
-    job.end        {t, job, worker, wall_s}                (worker)
-    job.retry      {t, job, failures, delay_s, error}      (parent)
-    job.timeout    {t, job, attempt, elapsed_s, timeout_s} (parent)
+    job.submit     {t, job, digest, experiment, seed, attempt}
+    job.start      {t, job, worker, attempt}   (t: the worker's clock)
+    job.end        {t, job, worker, wall_s}    (after the checksum passed)
+    job.retry      {t, job, failures, delay_s, error}
+    job.timeout    {t, job, attempt, elapsed_s, timeout_s}
     job.quarantine {t, job, error, attempts, timed_out, experiment, seed}
-    pool.restart   {t, reason, restarts}                   (parent)
-    cache.hit      {t, job, digest, experiment, seed}      (parent)
-    cache.promote  {t, job, digest, bytes, n_artifacts}    (parent)
+    pool.restart   {t, reason, restarts}
+    cache.hit      {t, job, digest, experiment, seed}
+    cache.promote  {t, job, digest, bytes, n_artifacts}
     sweep.end      {t, n_done, n_quarantined, aborted,
                     cache {hits,misses,corrupt,stores,bytes_promoted}}
 
@@ -32,14 +36,14 @@ The failure records (``job.retry`` / ``job.timeout`` /
 back to queued (its next ``job.submit``/``job.start`` carries a higher
 attempt), a quarantined job leaves the fleet for good.
 
-Every record carries ``schema`` and an epoch-seconds ``t`` so events
-from different processes order on one axis.  **Telemetry is strictly
-harness-side**: nothing here touches the simulator, so simulated
-results, metrics and blame digests are bit-identical with telemetry on
-or off (enforced by ``scripts/check_determinism.py`` and the engine
-tests).
+Every record carries ``schema`` and an epoch-seconds ``t`` so the
+worker-clocked ``job.start`` orders with the parent's records on one
+axis.  **Telemetry is strictly harness-side**: nothing here touches
+the simulator, so simulated results, metrics and blame digests are
+bit-identical with telemetry on or off (enforced by
+``scripts/check_determinism.py`` and the engine tests).
 
-On top of the channel:
+On top of the stream:
 
 * :class:`FleetState` / :func:`snapshot` — live view (completed /
   running / queued, per-worker current job + elapsed, cache hit rate,
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.fsutil import append_line
+from repro.fsutil import append_line, parse_json_object, read_jsonl
 from repro.obs.metrics import Ewma
 
 #: Telemetry record format version.
@@ -89,22 +93,28 @@ def _now() -> float:
 
 
 class TelemetryWriter:
-    """Appends telemetry records to the channel file.
+    """The event stream of one sweep: every record in :attr:`events`,
+    folded into :attr:`state` as it is emitted.
 
-    Safe to instantiate independently in every process (parent and
-    workers): each :meth:`emit` is one ``O_APPEND`` write, so records
-    from concurrent writers never interleave within a line.  No file
-    handle is kept open — a writer is just a path plus a clock.
+    With a *path* each record is also appended to that channel file in
+    one ``O_APPEND`` write, so a concurrent tail never sees a record
+    interleaved with another.  No file handle is kept open.
     """
 
-    def __init__(self, path, clock=None) -> None:
-        self.path = Path(path)
+    def __init__(self, path=None, clock=None) -> None:
+        self.path = None if path is None else Path(path)
         self._clock = clock or _now
+        self.events: list[dict] = []
+        self.state = FleetState()
 
-    def emit(self, kind: str, **fields: Any) -> None:
+    def emit(self, kind: str, t: Optional[float] = None, **fields: Any) -> None:
+        """Record one event at *t* (default: now on this clock)."""
         record = {"schema": TELEMETRY_SCHEMA, "kind": kind,
-                  "t": self._clock(), **fields}
-        append_line(self.path, json.dumps(record, sort_keys=True), sync=False)
+                  "t": self._clock() if t is None else t, **fields}
+        self.events.append(record)
+        self.state.apply(record)
+        if self.path is not None:
+            append_line(self.path, json.dumps(record, sort_keys=True), sync=False)
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +122,8 @@ class TelemetryWriter:
 # ---------------------------------------------------------------------------
 
 
-def _parse_event(line: str) -> Optional[dict]:
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(doc, dict) or "kind" not in doc or "t" not in doc:
-        return None
-    return doc
+def _is_event(doc: Optional[dict]) -> bool:
+    return doc is not None and "kind" in doc and "t" in doc
 
 
 def read_events(path) -> list[dict]:
@@ -131,24 +132,16 @@ def read_events(path) -> list[dict]:
     Torn lines (a writer crashed mid-record) and foreign lines are
     skipped, never fatal — the channel is advisory by design.
     """
-    p = Path(path)
-    if not p.exists():
-        return []
-    out = []
-    with open(p, "r") as fh:
-        for line in fh:
-            doc = _parse_event(line)
-            if doc is not None:
-                out.append(doc)
-    return out
+    return [doc for doc in read_jsonl(path) if _is_event(doc)]
 
 
 class TelemetryTail:
-    """Incremental reader: the parent's live view of the channel.
+    """Incremental reader: ``obs top``'s view of a channel that another
+    process is still writing.
 
     :meth:`poll` returns the records appended since the last call,
     consuming only up to the last complete (newline-terminated) line —
-    a worker's half-written tail is left for the next poll.
+    a half-written tail is left for the next poll.
     """
 
     def __init__(self, path) -> None:
@@ -168,12 +161,8 @@ class TelemetryTail:
         if complete == 0:
             return []
         self._offset += complete
-        events = []
-        for raw in chunk[:complete].splitlines():
-            doc = _parse_event(raw.decode("utf-8", errors="replace"))
-            if doc is not None:
-                events.append(doc)
-        return events
+        lines = chunk[:complete].decode("utf-8", errors="replace").split("\n")
+        return [doc for doc in map(parse_json_object, lines) if _is_event(doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -685,16 +674,16 @@ def render_top(snap: Mapping[str, Any]) -> str:
 
 
 class LiveProgress:
-    """The ``sweep --progress`` view: tail the channel, redraw the top.
+    """The ``sweep --progress`` view: fold records, redraw the top.
 
-    The sweep engine calls :meth:`refresh` from its heartbeat (between
-    pool completions) and :meth:`close` at the end.  On a TTY the block
-    redraws in place (ANSI cursor-up); otherwise at most one rendered
-    block per *interval* seconds is printed, so logs stay readable.
+    The sweep engine's heartbeat hands :meth:`refresh` the records
+    emitted since its previous beat, and :meth:`close` draws the last
+    frame.  On a TTY the block redraws in place (ANSI cursor-up);
+    otherwise at most one rendered block per *interval* seconds is
+    printed, so logs stay readable.
     """
 
-    def __init__(self, path, out=None, interval: float = 2.0) -> None:
-        self.tail = TelemetryTail(path)
+    def __init__(self, out=None, interval: float = 2.0) -> None:
         self.state = FleetState()
         self.out = out if out is not None else sys.stderr
         self.interval = interval
@@ -702,9 +691,10 @@ class LiveProgress:
         self._last_height = 0
         self._tty = bool(getattr(self.out, "isatty", lambda: False)())
 
-    def refresh(self, force: bool = False) -> None:
-        for event in self.tail.poll():
-            self.state.apply(event)
+    def refresh(
+        self, events: Iterable[Mapping[str, Any]] = (), force: bool = False
+    ) -> None:
+        self.state.apply_all(events)
         now = _now()
         if not force and (now - self._last_render) < (
             0.2 if self._tty else self.interval

@@ -284,18 +284,9 @@ def _run_task(task: tuple, in_worker: bool) -> tuple[bool, Any]:
 
     The checksum is taken over the *true* payload before any injected
     corruption — the parent's integrity check is what turns a corrupted
-    result into a retry instead of a poisoned report.  With a telemetry
-    channel the executor itself emits ``job.start`` / ``job.end`` —
-    that is what gives the parent (and ``obs top``) live worker
-    occupancy instead of only after-the-fact completions.
+    result into a retry instead of a poisoned report.
     """
-    index, attempt, experiment, config, seed, digest, staging_dir, telemetry_path = task
-    writer = None
-    if telemetry_path is not None:
-        from repro.obs.telemetry import TelemetryWriter
-
-        writer = TelemetryWriter(telemetry_path)
-        writer.emit("job.start", job=index, worker=os.getpid(), attempt=attempt)
+    experiment, config, seed, digest, attempt, staging_dir = task
     t0 = time.perf_counter()
     try:
         spec = ChaosSpec.from_env()
@@ -319,19 +310,19 @@ def _run_task(task: tuple, in_worker: bool) -> tuple[bool, Any]:
     checksum = digests.payload_checksum(payload)
     if mode == "corrupt":
         payload = corrupt_payload(payload, digest, attempt)
-    wall = time.perf_counter() - t0
-    if writer is not None:
-        writer.emit("job.end", job=index, worker=os.getpid(), wall_s=wall)
-    return True, (payload, checksum, wall)
+    return True, (payload, checksum, time.perf_counter() - t0)
 
 
 def _worker_main(conn) -> None:
-    """Owned-pool worker: run the tasks *conn* delivers until it closes."""
+    """Owned-pool worker: run the tasks *conn* delivers until it closes,
+    answering each first with this worker's clock (the parent records
+    it as ``job.start``), then with the outcome."""
     while True:
         try:
             task = conn.recv()
         except EOFError:
             return
+        conn.send(time.time())
         ok, value = _run_task(task, in_worker=True)
         if not ok:
             # Ship the error with its worker-side traceback; one that
@@ -359,6 +350,7 @@ class _Worker:
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
         self.proc.start()
+        self.pid = self.proc.pid
         # Only the worker holds the child end now, so its death reads
         # as EOF on ours.
         child.close()
@@ -371,8 +363,11 @@ class _Worker:
             # scheduler treats it like a crash mid-task.
             pass
 
-    def recv(self) -> tuple[bool, Any]:
-        ok, value = self.conn.recv()
+    def recv(self) -> Any:
+        reply = self.conn.recv()
+        if isinstance(reply, float):
+            return reply
+        ok, value = reply
         if not ok:
             value, text = value
             value.__cause__ = SweepError(f"worker traceback:\n{text}")
@@ -385,19 +380,26 @@ class _Worker:
 
 
 class _InlineWorker:
-    """The ``jobs == 1`` executor: runs each task in this process.
-
-    Its reply exists as soon as :meth:`send` returns, and it cannot be
-    killed mid-job — which is why timeouts bite only on pooled sweeps.
+    """The serial executor: runs each task in this process, giving the
+    same two replies as a pooled worker — the task runs when the second
+    is collected.  It cannot be killed mid-job, which is why timeouts
+    bite only on pooled sweeps.
     """
 
     proc = None
 
-    def send(self, task: tuple) -> None:
-        self.reply = _run_task(task, in_worker=False)
+    def __init__(self) -> None:
+        self.pid = os.getpid()
 
-    def recv(self) -> tuple[bool, Any]:
-        return self.reply
+    def send(self, task: tuple) -> None:
+        self.replies = self._serve(task)
+
+    def _serve(self, task: tuple):
+        yield time.time()
+        yield _run_task(task, in_worker=False)
+
+    def recv(self) -> Any:
+        return next(self.replies)
 
     def stop(self) -> None:
         pass
@@ -419,6 +421,8 @@ def _ready(busy, timeout: Optional[float]) -> list:
 
 ProgressFn = Callable[[int, int, JobResult], None]
 
+#: Longest wait between heartbeats while workers are busy (seconds).
+HEARTBEAT_S = 0.5
 
 def _traceback_digest(exc: BaseException) -> str:
     """Short stable digest of an exception's formatted traceback.
@@ -441,8 +445,7 @@ def run_sweep(
     obs_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
     telemetry: Optional[Path] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
-    heartbeat_interval: float = 0.5,
+    heartbeat: Optional[Callable[[list], None]] = None,
     policy: Optional[FailurePolicy] = None,
 ) -> SweepReport:
     """Run (or fetch) every job of *spec*; returns a :class:`SweepReport`.
@@ -462,18 +465,20 @@ def run_sweep(
     progress:
         ``fn(done, total, result)`` called as each job settles.
     telemetry:
-        Path of the wall-clock telemetry channel (JSONL).  The parent
-        records submit/cache/promote events, workers stream start/end
-        events into the same file, and the finished report carries the
+        Path of the wall-clock telemetry channel (JSONL).  Every sweep
+        records its harness events in memory, and the report's failure
+        counters fold over them; with a channel the parent also appends
+        each record to this file, and the finished report carries the
         :func:`repro.obs.telemetry.summarize` totals (also written to
         the sibling ``telemetry.json`` and, when a cache is attached,
         appended next to the fleet run index).  Harness-side only:
         simulated payloads and :meth:`SweepReport.digest` are
         bit-identical with telemetry on or off.
     heartbeat:
-        Zero-argument callable invoked between job completions (at
-        least every *heartbeat_interval* seconds while workers are
-        busy) — the hook that drives the live ``--progress`` view.
+        ``fn(records)`` called between job completions (at least every
+        :data:`HEARTBEAT_S` seconds while workers are busy) with the
+        telemetry records emitted since the previous beat — the hook
+        that drives the live ``--progress`` view.
     policy:
         Failure policy (timeouts, bounded retries, quarantine).
         ``None`` keeps the legacy contract: the first job exception
@@ -501,31 +506,28 @@ def run_sweep(
         obs_dir = Path(obs_dir)
         obs_dir.mkdir(parents=True, exist_ok=True)
 
-    tele = None
-    cache_base: dict = {}
-    if telemetry is not None:
-        from repro.obs.telemetry import TelemetryWriter
+    # The sweep's one event stream: every record below is emitted here,
+    # in this process, whether or not a channel file mirrors it.
+    from repro.obs.telemetry import TelemetryWriter
 
-        telemetry = Path(telemetry)
-        tele = TelemetryWriter(telemetry)
-        tele.emit(
-            "sweep.start",
-            n_jobs=len(job_list),
-            n_workers=min(jobs, len(job_list)),
-            experiments=sorted({j.experiment for j in job_list}),
-        )
-        if cache is not None:
-            # Counter snapshot so sweep.end reports *this* sweep's
-            # cache activity even on a long-lived ResultCache.
-            cache_base = cache.counts()
+    stream = TelemetryWriter(telemetry)
+    emit = stream.emit
+    emit(
+        "sweep.start",
+        n_jobs=len(job_list),
+        n_workers=min(jobs, len(job_list)),
+        experiments=sorted({j.experiment for j in job_list}),
+    )
+    # Counter snapshot so sweep.end reports *this* sweep's cache
+    # activity even on a long-lived ResultCache.
+    cache_base = cache.counts() if cache is not None else {}
+    beat_mark = 0
 
     def tick() -> None:
+        nonlocal beat_mark
         if heartbeat is not None:
-            heartbeat()
-
-    def emit(kind: str, **fields: Any) -> None:
-        if tele is not None:
-            tele.emit(kind, **fields)
+            heartbeat(stream.events[beat_mark:])
+            beat_mark = len(stream.events)
 
     # Fleet run index: one manifest per job, appended at the cache
     # root.  Purely export-side — no cache, no index, no cost.
@@ -546,7 +548,6 @@ def run_sweep(
 
     results: dict[int, JobResult] = {}
     quarantined: dict[int, JobFailure] = {}
-    counters = {"retries": 0, "timeouts": 0, "pool_restarts": 0}
     aborted = False
     # The scheduler's one queue: ``(release_time, index, attempt)``.
     # Fresh jobs release at 0 (index order); a retry releases when its
@@ -572,7 +573,6 @@ def run_sweep(
         failures = attempt + 1
         if failures <= policy.max_retries:
             delay = policy.backoff_s(job.digest, failures)
-            counters["retries"] += 1
             emit(
                 "job.retry", job=index, failures=failures,
                 delay_s=delay, error=type(exc).__name__,
@@ -618,7 +618,6 @@ def run_sweep(
             and len(quarantined) > policy.max_failures
         ):
             aborted = True
-        tick()
 
     # -- pass 1: cache lookups -----------------------------------------
     for i, job in enumerate(job_list):
@@ -701,21 +700,20 @@ def run_sweep(
     # ``n_workers`` spawned processes, started on demand: a timeout
     # kills only the overdue worker, a dead worker fails only the job
     # it was running, and either way that one worker is replaced.  A
-    # serial sweep (or a lone miss) runs inline through the same loop.
-    inline = jobs == 1 or len(queue) <= 1
-    n_workers = min(jobs, len(queue))
+    # serial sweep (or a lone miss with no timeout to enforce) runs
+    # inline through the same loop.
     timeout_s = policy.timeout_s if policy is not None else None
-    tele_path = str(telemetry) if tele is not None else None
+    inline = jobs == 1 or (len(queue) <= 1 and timeout_s is None)
+    n_workers = min(jobs, len(queue))
     ctx = get_context("spawn")
     idle: list = []
     busy: dict = {}  # worker -> (index, attempt, dispatch time)
 
     def lose(worker, reason: str) -> None:
         worker.stop()
-        counters["pool_restarts"] += 1
         emit(
             "pool.restart", reason=reason,
-            restarts=counters["pool_restarts"],
+            restarts=stream.state.n_pool_restarts + 1,
         )
 
     try:
@@ -737,8 +735,8 @@ def run_sweep(
                 )
                 busy[worker] = (index, attempt, time.monotonic())
                 worker.send(
-                    (index, attempt, job.experiment, job.config, job.seed,
-                     job.digest, staging_for(index), tele_path)
+                    (job.experiment, job.config, job.seed, job.digest,
+                     attempt, staging_for(index))
                 )
             # Wake up for the heartbeat, the earliest job deadline, or
             # the earliest backoff release — whichever comes first.
@@ -746,28 +744,38 @@ def run_sweep(
             if timeout_s is not None:
                 wake = [t0 + timeout_s for (_, _, t0) in busy.values()]
             if heartbeat is not None:
-                wake.append(time.monotonic() + heartbeat_interval)
+                wake.append(time.monotonic() + HEARTBEAT_S)
             if queue and len(busy) < n_workers:
                 wake.append(queue[0][0])
             wait_s = (
                 max(min(wake) - time.monotonic(), 0.0) + 0.01 if wake else None
             )
             for worker in _ready(busy, wait_s):
-                index, attempt, _ = busy.pop(worker)
+                index, attempt, _ = busy[worker]
                 job = job_list[index]
                 try:
-                    ok, value = worker.recv()
+                    reply = worker.recv()
                 except (EOFError, OSError):
+                    del busy[worker]
                     lose(worker, "crash")
                     fail(index, job, attempt, WorkerCrashError(
                         f"worker died while running {job.label} "
                         f"(exit code {worker.proc.exitcode})"
                     ))
                     continue
+                if isinstance(reply, float):
+                    emit(
+                        "job.start", t=reply, job=index,
+                        worker=worker.pid, attempt=attempt,
+                    )
+                    continue
+                del busy[worker]
                 idle.append(worker)
+                ok, value = reply
                 if ok:
                     payload, checksum, wall = value
                     if digests.payload_checksum(payload) == checksum:
+                        emit("job.end", job=index, worker=worker.pid, wall_s=wall)
                         finish_run(
                             index, job, payload, wall, attempts=attempt + 1
                         )
@@ -785,7 +793,6 @@ def run_sweep(
                 if now - t0 < timeout_s:
                     continue
                 del busy[worker]
-                counters["timeouts"] += 1
                 emit(
                     "job.timeout", job=index, attempt=attempt,
                     elapsed_s=now - t0, timeout_s=timeout_s,
@@ -804,34 +811,34 @@ def run_sweep(
         if staging_root is not None:
             shutil.rmtree(staging_root, ignore_errors=True)
 
+    emit(
+        "sweep.end",
+        n_done=len(results),
+        n_quarantined=len(quarantined),
+        aborted=aborted,
+        cache={
+            k: v - cache_base.get(k, 0)
+            for k, v in cache.counts().items()
+        } if cache is not None else {},
+    )
     report = SweepReport(
         [results[i] for i in sorted(results)],
         failures=[quarantined[i] for i in sorted(quarantined)],
-        n_retries=counters["retries"],
-        n_timeouts=counters["timeouts"],
-        n_pool_restarts=counters["pool_restarts"],
+        n_retries=stream.state.n_retries,
+        n_timeouts=stream.state.n_timeouts,
+        n_pool_restarts=stream.state.n_pool_restarts,
         aborted=aborted,
     )
-    if tele is not None:
-        from repro.obs.telemetry import read_events, summarize, write_summary
+    if telemetry is not None:
+        from repro.obs.telemetry import summarize, write_summary
 
-        tele.emit(
-            "sweep.end",
-            n_done=len(results),
-            n_quarantined=len(quarantined),
-            aborted=aborted,
-            cache={
-                k: v - cache_base.get(k, 0)
-                for k, v in cache.counts().items()
-            } if cache is not None else {},
-        )
-        report.telemetry = summarize(read_events(telemetry))
+        report.telemetry = summarize(stream.events)
         write_summary(telemetry, report.telemetry)
         if fleet_index is not None:
             fleet_index.record_harness(report.telemetry)
     # One final heartbeat regardless of channel or outcome: a fully
     # cache-served sweep must still drive the live view to its last
-    # frame (and emit the sweep.end totals above) instead of silently
+    # frame (with the sweep.end totals above) instead of silently
     # skipping the heartbeat path.
     tick()
     return report

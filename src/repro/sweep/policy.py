@@ -32,8 +32,8 @@ class FailurePolicy:
     """
 
     #: Per-job wall-clock budget in seconds (``None`` disables timeouts).
-    #: Enforced only on pooled sweeps (``jobs >= 2``) — the serial path
-    #: cannot kill itself.
+    #: Enforced on every sweep with ``jobs >= 2``, a lone cache miss
+    #: included; at ``jobs == 1`` the serial path cannot kill itself.
     timeout_s: Optional[float] = None
     #: Failed attempts a job may burn before quarantine; the job runs at
     #: most ``max_retries + 1`` times.  Only the job that failed is

@@ -35,9 +35,9 @@ def test_fanned_sweep_matches_serial_bit_for_bit(tmp_path):
 def test_fanned_telemetry_matches_serial_digest(tmp_path):
     """Telemetry on, fanned across workers: digest still equals serial.
 
-    Workers append job.start/job.end to the same channel the parent
-    writes — the acceptance bar is that this concurrency never leaks
-    into simulated results.
+    The parent records every worker's job.start/job.end in the channel
+    — the acceptance bar is that the fan-out never leaks into
+    simulated results.
     """
     from repro.obs.telemetry import read_events, summarize
 

@@ -94,6 +94,19 @@ class TestWriterAndReaders:
         assert events[0]["t"] < events[1]["t"]
         assert events[1]["job"] == 0 and events[1]["seed"] == 0
 
+    def test_stream_without_a_path_stays_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        w = TelemetryWriter(clock=lambda: 1.0)
+        w.emit("job.submit", job=0)
+        # A worker-clocked record keeps the worker's timestamp.
+        w.emit("job.start", t=0.5, job=0, worker=7, attempt=0)
+        assert w.path is None and not list(tmp_path.iterdir())
+        assert [(e["kind"], e["t"]) for e in w.events] == [
+            ("job.submit", 1.0), ("job.start", 0.5)
+        ]
+        # Every record is folded as it is emitted.
+        assert [j.worker for j in w.state.running()] == [7]
+
     def test_read_events_missing_file(self, tmp_path):
         assert read_events(tmp_path / "nope.jsonl") == []
 
@@ -393,16 +406,12 @@ class TestRendering:
         assert "0/0 jobs" in text
         assert "eta -" in text and "cache hit rate -" in text
 
-    def test_live_progress_non_tty(self, tmp_path):
+    def test_live_progress_non_tty(self):
         import io
 
-        channel = tmp_path / "t.jsonl"
-        with open(channel, "w") as fh:
-            for e in synthetic_events():
-                fh.write(json.dumps(e) + "\n")
         out = io.StringIO()
-        live = LiveProgress(channel, out=out, interval=0.0)
-        live.refresh()
+        live = LiveProgress(out=out, interval=0.0)
+        live.refresh(synthetic_events())
         live.close()
         text = out.getvalue()
         assert "4/4 jobs" in text

@@ -203,13 +203,19 @@ def test_telemetry_writes_summary_and_harness_record(tmp_path):
 
 
 def test_telemetry_heartbeat_fires(tmp_path):
+    from repro.obs.telemetry import read_events
+
     beats = []
     run_sweep(
         SPEC, jobs=1, cache=ResultCache(tmp_path / "cache"),
         telemetry=tmp_path / "telemetry.jsonl",
-        heartbeat=lambda: beats.append(1),
+        heartbeat=beats.append,
     )
     assert beats  # called at least once per completion batch
+    # Each beat carries the records since the previous one: together
+    # they are exactly what the channel file holds.
+    streamed = [record for beat in beats for record in beat]
+    assert streamed == read_events(tmp_path / "telemetry.jsonl")
 
 
 def test_heartbeat_and_end_totals_on_fully_cached_sweep(tmp_path):
@@ -224,7 +230,7 @@ def test_heartbeat_and_end_totals_on_fully_cached_sweep(tmp_path):
     warm = run_sweep(
         SPEC, jobs=1, cache=cache,
         telemetry=tmp_path / "warm.jsonl",
-        heartbeat=lambda: beats.append(1),
+        heartbeat=beats.append,
     )
     assert warm.n_cached == 4 and beats
     end = read_events(tmp_path / "warm.jsonl")[-1]
@@ -248,3 +254,51 @@ def test_run_smoke_with_telemetry_dir(tmp_path, capsys):
         assert (tmp_path / "tele" / name).exists(), name
     warm = json.loads((tmp_path / "tele" / "warm.telemetry.json").read_text())
     assert warm["cache"]["hit_rate"] == 1.0
+
+
+def test_pooled_heartbeat_sees_workers_that_write_nothing(monkeypatch, tmp_path):
+    # Workers only report over their pipes; the parent's heartbeat must
+    # still show a job running on a child process while it runs.
+    import multiprocessing
+    import os
+
+    from repro.obs.telemetry import FleetState, read_events
+    from repro.sweep.chaos import ChaosSpec
+
+    spec = SweepSpec(
+        experiments=["pingpong"], seeds=[0, 1], overrides=SPEC.overrides
+    )
+    d0, d1 = (job.digest for job in spec.resolve())
+    # A salt whose schedule hangs job 0 (about 1 s) and leaves job 1 be.
+    salt = next(
+        f"s{n}" for n in range(5000)
+        if ChaosSpec(hang=0.5, salt=f"s{n}").draw(d0, 0) == "hang"
+        and ChaosSpec(hang=0.5, salt=f"s{n}").draw(d1, 0) is None
+    )
+    monkeypatch.setenv("REPRO_CHAOS", "hang:0.5")
+    monkeypatch.setenv("REPRO_CHAOS_SALT", salt)
+    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "1")
+    state = FleetState()
+    running, children = [], set()
+
+    def beat(records):
+        state.apply_all(records)
+        running.extend(j.worker for j in state.running())
+        children.update(p.pid for p in multiprocessing.active_children())
+
+    channel = tmp_path / "telemetry.jsonl"
+    report = run_sweep(spec, jobs=2, telemetry=channel, heartbeat=beat)
+    assert report.ok and report.n_retries == 0
+    assert running and os.getpid() not in running
+    events = read_events(channel)
+    submitted = {}
+    starts = 0
+    for e in events:
+        if e["kind"] == "job.submit":
+            submitted[e["job"]] = e["t"]
+        elif e["kind"] == "job.start":
+            starts += 1
+            assert e["t"] >= submitted[e["job"]]
+            assert e["worker"] in children
+    assert starts == 2 and len(children) == 2
+    assert set(running) <= children

@@ -338,3 +338,20 @@ def test_pool_crash_loop_is_bounded_by_each_jobs_retries(monkeypatch):
         assert f.attempts == 3 and f.error_class == "WorkerCrashError"
     assert report.n_retries == 4
     assert report.n_pool_restarts == 6  # one replaced worker per crash
+
+
+def test_lone_pooled_miss_still_times_out(monkeypatch):
+    # One miss at jobs >= 2 under a timeout runs on a spawned worker:
+    # inline, nothing could kill the hang and the budget would be moot.
+    monkeypatch.setenv("REPRO_CHAOS", "hang:1")
+    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "3")
+    spec = SweepSpec(
+        experiments=["pingpong"], seeds=[0], overrides=SPEC.overrides
+    )
+    policy = FailurePolicy(
+        timeout_s=1.0, max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0
+    )
+    report = run_sweep(spec, jobs=4, policy=policy)
+    assert report.n_timeouts == 1
+    assert not report.results and len(report.failures) == 1
+    assert report.failures[0].timed_out

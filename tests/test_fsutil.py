@@ -11,7 +11,7 @@ stress-tests that guarantee with actual processes, not threads.
 import json
 import multiprocessing as mp
 
-from repro.fsutil import append_line
+from repro.fsutil import append_line, read_jsonl
 from repro.obs.telemetry import TelemetryTail, read_events
 
 N_WRITERS = 4
@@ -103,3 +103,31 @@ def test_tail_polling_concurrent_writers(tmp_path):
     collected.extend(tail.poll())  # drain whatever landed after the loop
     seen = [(e["writer"], e["seq"]) for e in collected]
     assert len(seen) == len(set(seen)) == N_WRITERS * N_RECORDS
+
+
+def test_read_jsonl_missing_file_is_empty(tmp_path):
+    assert read_jsonl(tmp_path / "absent.jsonl") == []
+
+
+def test_read_jsonl_skips_blank_lines(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
+    assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
+
+
+def test_read_jsonl_skips_torn_tail(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"a": 1}\n{"a": 2, "b": "unfini')
+    assert read_jsonl(path) == [{"a": 1}]
+
+
+def test_read_jsonl_skips_non_json_lines(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('not json at all\n{"a": 1}\n')
+    assert read_jsonl(path) == [{"a": 1}]
+
+
+def test_read_jsonl_skips_non_object_lines(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('[1, 2]\n"text"\n42\nnull\n{"a": 1}\n')
+    assert read_jsonl(path) == [{"a": 1}]
