@@ -47,7 +47,7 @@ def main() -> None:
           f"core utilisation {result.core_utilization:.1%}\n")
     print(ascii_gantt(trace, width=70, max_rows=30))
 
-    profile = concurrency_profile(trace, samples=12)
+    profile = concurrency_profile(trace)
     print("\nconcurrency over time:")
     for t, c in profile:
         print(f"  t={t*1e3:7.2f} ms  {'#' * c} ({c})")

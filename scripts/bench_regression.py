@@ -223,14 +223,13 @@ def telemetry_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
 def policy_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
     """Wall-clock budget for the failure-policy wiring.
 
-    Times the same serial sweep (pingpong x 2 seeds, no cache) with no
-    policy and with a full :class:`FailurePolicy` armed (timeout,
-    retries, backoff — none of which should fire on healthy jobs),
-    interleaved best-of-N.  The policy path is bookkeeping around the
-    execute call — attempt counters, deadline stamps, dead chaos
-    branches — and must keep the sweep within *budget* (default 3%) of
-    the policy-free run.  A first failure is re-measured at 2N before
-    the gate trips.
+    Times the same serial sweep (pingpong x 2 seeds, no cache) under the
+    default policy and with a :class:`FailurePolicy` armed with a
+    timeout (neither retries nor times out on healthy jobs),
+    interleaved best-of-N.  The armed path is bookkeeping around the
+    execute call — deadline stamps and wake-ups — and must keep the
+    sweep within *budget* (default 3%) of the default-policy run.  A
+    first failure is re-measured at 2N before the gate trips.
     """
     import time
 
@@ -244,7 +243,7 @@ def policy_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
     policy = FailurePolicy(timeout_s=300.0, max_retries=3)
 
     def measure(n: int) -> tuple[float, float]:
-        """Interleaved best-of-*n* sweep walls: (off, policy-armed)."""
+        """Interleaved best-of-*n* sweep walls: (default, policy-armed)."""
         off = on = float("inf")
         for _ in range(n):
             t0 = time.perf_counter()
@@ -265,12 +264,12 @@ def policy_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
         off2, on2 = measure(2 * n)
         off, on = min(off, off2), min(on, on2)
     ratio = on / off
-    print(f"  policy off    best sweep wall {off * 1e3:8.2f} ms")
-    print(f"  policy armed  best sweep wall {on * 1e3:8.2f} ms  ({ratio:.3f}x)")
+    print(f"  default policy  best sweep wall {off * 1e3:8.2f} ms")
+    print(f"  policy armed    best sweep wall {on * 1e3:8.2f} ms  ({ratio:.3f}x)")
     if ratio > 1.0 + budget:
         return [
             f"policy overhead gate: policy-armed sweep {ratio:.3f}x of "
-            f"policy-free (budget {1.0 + budget:.2f}x)"
+            f"default-policy (budget {1.0 + budget:.2f}x)"
         ]
     print(f"  within the {budget:.0%} failure-policy budget  [ok]")
     return []
@@ -373,7 +372,7 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--policy-overhead-gate", action="store_true",
         help="also assert an armed-but-idle failure policy keeps sweep "
-             "wall time within 3%% of a policy-free sweep",
+             "wall time within 3%% of a default-policy sweep",
     )
     args = ap.parse_args(argv)
 

@@ -270,8 +270,8 @@ def main(argv=None) -> int:
     print(f"deterministic (harness telemetry): {td1}")
 
     # The failure-policy layer must be inert when nothing fails: a
-    # policy-armed sweep of healthy jobs reports zero retries and the
-    # same digest as the plain run.
+    # sweep of healthy jobs under an armed policy reports zero retries
+    # and the same digest as the default-policy run.
     from repro.sweep.policy import FailurePolicy
 
     armed_report = run_sweep(
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     if pd != td1:
         print(
             "FAILURE POLICY PERTURBED THE SWEEP: digest "
-            f"{td1} (off) != {pd} (on)"
+            f"{td1} (default policy) != {pd} (armed)"
         )
         return 1
     if (

@@ -294,23 +294,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    policy = None
-    if (
-        args.timeout is not None
-        or args.retries is not None
-        or args.fail_fast
-        or args.max_failures is not None
-    ):
-        try:
-            policy = FailurePolicy(
-                timeout_s=args.timeout,
-                max_retries=args.retries if args.retries is not None else 3,
-                fail_fast=args.fail_fast,
-                max_failures=args.max_failures,
-            )
-        except Exception as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
+    try:
+        policy = FailurePolicy(
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            max_failures=args.max_failures,
+        )
+    except Exception as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
 
     per_job_lines = progress if not (args.quiet or args.progress) else None
     report = run_sweep(
@@ -367,8 +359,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if report.aborted:
         print(
-            "sweep aborted by failure policy "
-            "(fail-fast or max-failures exceeded)",
+            "sweep aborted by failure policy (max-failures exceeded)",
             file=sys.stderr,
         )
     if args.summary_out:
@@ -785,21 +776,19 @@ def main(argv=None) -> int:
     )
     p_sweep.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-job wall-clock budget in seconds; a job past it is "
-             "killed and retried (pooled sweeps only)",
+        help="per-job wall-clock budget in seconds, counted from job "
+             "start; a job past it is killed and retried (pooled sweeps "
+             "only)",
     )
     p_sweep.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=int, default=3, metavar="N",
         help="failed attempts a job may burn before quarantine "
-             "(default 3 when a failure policy is active)",
-    )
-    p_sweep.add_argument(
-        "--fail-fast", action="store_true",
-        help="abort the sweep at the first quarantined job",
+             "(default %(default)s)",
     )
     p_sweep.add_argument(
         "--max-failures", type=int, default=None, metavar="N",
-        help="abort once more than N jobs are quarantined",
+        help="abort once more than N jobs are quarantined "
+             "(0: at the first)",
     )
     p_obs = sub.add_parser(
         "obs",

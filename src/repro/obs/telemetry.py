@@ -21,7 +21,7 @@ kinds::
     job.submit     {t, job, digest, experiment, seed, attempt}
     job.start      {t, job, worker, attempt}   (t: the worker's clock)
     job.end        {t, job, worker, wall_s}    (after the checksum passed)
-    job.retry      {t, job, failures, delay_s, error}
+    job.retry      {t, job, failures, error}
     job.timeout    {t, job, attempt, elapsed_s, timeout_s}
     job.quarantine {t, job, error, attempts, timed_out, experiment, seed}
     pool.restart   {t, reason, restarts}
@@ -33,7 +33,7 @@ kinds::
 The failure records (``job.retry`` / ``job.timeout`` /
 ``job.quarantine`` / ``pool.restart``) come from the engine's
 :class:`~repro.sweep.policy.FailurePolicy` layer: a retried job goes
-back to queued (its next ``job.submit``/``job.start`` carries a higher
+straight back to queued (its next ``job.submit``/``job.start`` carries a higher
 attempt), a quarantined job leaves the fleet for good.
 
 Every record carries ``schema`` and an epoch-seconds ``t`` so the

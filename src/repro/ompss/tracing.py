@@ -46,17 +46,15 @@ def schedule_trace(result: "ScheduleResult", graph: "TaskGraph") -> list[TraceIn
 
 
 def concurrency_profile(
-    intervals: Sequence[TraceInterval], samples: int = 50
+    intervals: Sequence[TraceInterval],
 ) -> list[tuple[float, int]]:
     """Exact (time, #running-tasks) profile over the makespan.
 
     One entry per distinct interval endpoint: the count of tasks
     running (``start <= t < end``) from that breakpoint until the next
     one.  Unlike uniform sampling this never misses a short task and
-    always ends at zero.  *samples* is accepted for backwards
-    compatibility and ignored — the sweep is exact.
+    always ends at zero.
     """
-    del samples  # kept for API compatibility; the sweep is exact
     if not intervals:
         return []
     deltas: dict[float, int] = {}

@@ -55,6 +55,14 @@ def expected_runtime(
     return base + failures * lost_per_failure
 
 
+#: Largest expected number of attempts per segment the simulation will
+#: take on.  A segment of ``interval + C`` survives with probability
+#: ``exp(-(interval + C) / M)``, so the attempts it needs grow
+#: exponentially in that ratio; past this limit a run would simulate
+#: millions of failures without finishing.
+MAX_ATTEMPTS_PER_SEGMENT = 1e4
+
+
 @dataclass(slots=True)
 class CheckpointStats:
     """Outcome of one simulated checkpointed run."""
@@ -92,13 +100,22 @@ def simulate_checkpointed_run(
     """Generator: run ``work_s`` of work under exponential failures.
 
     Progress is committed only at checkpoints; a failure rolls back to
-    the last one and pays the restart.  Returns
-    :class:`CheckpointStats`.  Use inside a simulation process::
+    the last one and pays the restart.  Raises
+    :class:`~repro.errors.ConfigurationError` when a segment would need
+    more than :data:`MAX_ATTEMPTS_PER_SEGMENT` expected attempts.
+    Returns :class:`CheckpointStats`.  Use inside a simulation process::
 
         stats = yield from simulate_checkpointed_run(sim, ...)
     """
     if min(work_s, interval_s, mtbf_s) <= 0:
         raise ConfigurationError("work, interval and MTBF must be > 0")
+    exposure = (min(interval_s, work_s) + checkpoint_cost_s) / mtbf_s
+    if exposure > math.log(MAX_ATTEMPTS_PER_SEGMENT):
+        raise ConfigurationError(
+            f"a segment would need e^{exposure:.3g} expected attempts "
+            f"(limit {MAX_ATTEMPTS_PER_SEGMENT:.0e}); shorten the interval "
+            f"or the checkpoint cost relative to the MTBF"
+        )
     rng = sim.rng.stream(rng_stream)
     start = sim.now
     committed = 0.0

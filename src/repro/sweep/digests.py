@@ -90,7 +90,7 @@ def payload_checksum(payload: Any) -> str:
 def uniform(key: str) -> float:
     """Deterministic uniform draw in ``[0, 1)`` derived from *key*.
 
-    The backbone of reproducible jitter and fault injection: the same
+    The backbone of reproducible fault injection: the same
     key yields the same draw on every machine and every run, with no
     process-global RNG state to leak between components.
     """

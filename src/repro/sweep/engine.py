@@ -88,9 +88,9 @@ class JobResult:
     cached: bool
     wall_s: float
     artifacts: list[str] = field(default_factory=list)
-    #: Executions it took to land this result (1 = first try; retries
-    #: under a :class:`FailurePolicy` bump it).  Harness metadata only —
-    #: never part of the payload or the report digest.
+    #: Executions it took to land this result (1 = first try; each
+    #: retry bumps it).  Harness metadata only — never part of the
+    #: payload or the report digest.
     attempts: int = 1
 
 
@@ -139,8 +139,8 @@ class SweepSpec:
 class SweepReport:
     """All job results of one sweep invocation.
 
-    Under a :class:`FailurePolicy` a sweep degrades gracefully instead
-    of aborting: jobs that exhausted their retries appear in
+    A sweep degrades gracefully instead of aborting: jobs that
+    exhausted their :class:`FailurePolicy` retries appear in
     :attr:`failures` (with error class, attempt count and traceback
     digest) while every settled job still carries a full result.  The
     failure section, like telemetry, is harness metadata — strictly
@@ -162,8 +162,8 @@ class SweepReport:
     n_timeouts: int = 0
     #: Workers replaced after dying mid-job or being killed on a timeout.
     n_pool_restarts: int = 0
-    #: ``True`` when ``fail_fast`` / ``max_failures`` stopped the sweep
-    #: before every job settled.
+    #: ``True`` when ``max_failures`` stopped the sweep before every job
+    #: settled.
     aborted: bool = False
 
     @property
@@ -446,7 +446,7 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
     telemetry: Optional[Path] = None,
     heartbeat: Optional[Callable[[list], None]] = None,
-    policy: Optional[FailurePolicy] = None,
+    policy: FailurePolicy = FailurePolicy(),
 ) -> SweepReport:
     """Run (or fetch) every job of *spec*; returns a :class:`SweepReport`.
 
@@ -480,19 +480,13 @@ def run_sweep(
         telemetry records emitted since the previous beat — the hook
         that drives the live ``--progress`` view.
     policy:
-        Failure policy (timeouts, bounded retries, quarantine).
-        ``None`` keeps the legacy contract: the first job exception
-        propagates and aborts the sweep.  When ``REPRO_CHAOS`` is armed
-        and no policy was given, a default policy is applied —
-        injected faults are meant to be absorbed, not fatal.
+        Failure policy: per-job timeout, bounded retries, quarantine
+        and abort.  Every failed attempt — a job exception included —
+        is retried or quarantined under it; only a bad spec raises,
+        before any job runs.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if policy is None and ChaosSpec.from_env().active:
-        # Armed chaos without an explicit policy gets the defaults:
-        # injected faults should surface as retries and quarantine
-        # records, not as a crashed harness.
-        policy = FailurePolicy()
     job_list = spec.resolve()
     if not job_list:
         # An empty resolution would otherwise "succeed" with an empty
@@ -549,10 +543,9 @@ def run_sweep(
     results: dict[int, JobResult] = {}
     quarantined: dict[int, JobFailure] = {}
     aborted = False
-    # The scheduler's one queue: ``(release_time, index, attempt)``.
-    # Fresh jobs release at 0 (index order); a retry releases when its
-    # backoff delay has passed.
-    queue: list[tuple[float, int, int]] = []
+    # The scheduler's one queue, a heap of ``(index, attempt)``: fresh
+    # jobs in index order, a retry straight back in by its index.
+    queue: list[tuple[int, int]] = []
 
     def settle(index: int, result: JobResult) -> None:
         results[index] = result
@@ -565,19 +558,15 @@ def run_sweep(
         timed_out: bool = False,
     ) -> None:
         """Charge one failed attempt to the one job that made it:
-        requeue it after a backoff, quarantine it once its retries are
-        spent, or — without a policy — re-raise."""
+        requeue it, or quarantine it once its retries are spent."""
         nonlocal aborted
-        if policy is None:
-            raise exc
         failures = attempt + 1
         if failures <= policy.max_retries:
-            delay = policy.backoff_s(job.digest, failures)
             emit(
                 "job.retry", job=index, failures=failures,
-                delay_s=delay, error=type(exc).__name__,
+                error=type(exc).__name__,
             )
-            heapq.heappush(queue, (time.monotonic() + delay, index, failures))
+            heapq.heappush(queue, (index, failures))
             return
         failure = JobFailure(
             index=index,
@@ -613,7 +602,7 @@ def run_sweep(
                 status="quarantined",
             )
             fleet_index.record(manifest, known_ids=indexed_ids)
-        if policy.fail_fast or (
+        if (
             policy.max_failures is not None
             and len(quarantined) > policy.max_failures
         ):
@@ -627,7 +616,7 @@ def run_sweep(
             # An entry recorded without artifacts cannot serve an
             # observability-requesting sweep; re-run and upgrade it.
             if want_obs and not meta.get("artifacts"):
-                queue.append((0.0, i, 0))
+                queue.append((i, 0))
                 continue
             artifacts = []
             if want_obs:
@@ -644,7 +633,7 @@ def run_sweep(
             )
             settle(i, JobResult(job, payload, True, 0.0, artifacts))
         else:
-            queue.append((0.0, i, 0))
+            queue.append((i, 0))
 
     # -- pass 2: execute misses ----------------------------------------
     staging_root = (
@@ -702,12 +691,14 @@ def run_sweep(
     # it was running, and either way that one worker is replaced.  A
     # serial sweep (or a lone miss with no timeout to enforce) runs
     # inline through the same loop.
-    timeout_s = policy.timeout_s if policy is not None else None
+    timeout_s = policy.timeout_s
     inline = jobs == 1 or (len(queue) <= 1 and timeout_s is None)
     n_workers = min(jobs, len(queue))
     ctx = get_context("spawn")
     idle: list = []
-    busy: dict = {}  # worker -> (index, attempt, dispatch time)
+    # worker -> (index, attempt, budget start): the dispatch time,
+    # restamped when the worker reports the job started.
+    busy: dict = {}
 
     def lose(worker, reason: str) -> None:
         worker.stop()
@@ -718,11 +709,8 @@ def run_sweep(
 
     try:
         while (queue or busy) and not aborted:
-            while (
-                queue and queue[0][0] <= time.monotonic()
-                and len(busy) < n_workers
-            ):
-                _, index, attempt = heapq.heappop(queue)
+            while queue and len(busy) < n_workers:
+                index, attempt = heapq.heappop(queue)
                 job = job_list[index]
                 emit(
                     "job.submit", job=index, digest=job.digest,
@@ -738,15 +726,13 @@ def run_sweep(
                     (job.experiment, job.config, job.seed, job.digest,
                      attempt, staging_for(index))
                 )
-            # Wake up for the heartbeat, the earliest job deadline, or
-            # the earliest backoff release — whichever comes first.
+            # Wake up for the heartbeat or the earliest job deadline,
+            # whichever comes first.
             wake = []
             if timeout_s is not None:
                 wake = [t0 + timeout_s for (_, _, t0) in busy.values()]
             if heartbeat is not None:
                 wake.append(time.monotonic() + HEARTBEAT_S)
-            if queue and len(busy) < n_workers:
-                wake.append(queue[0][0])
             wait_s = (
                 max(min(wake) - time.monotonic(), 0.0) + 0.01 if wake else None
             )
@@ -764,6 +750,7 @@ def run_sweep(
                     ))
                     continue
                 if isinstance(reply, float):
+                    busy[worker] = (index, attempt, time.monotonic())
                     emit(
                         "job.start", t=reply, job=index,
                         worker=worker.pid, attempt=attempt,

@@ -2,15 +2,17 @@
 
 The policy layer is what lets a sweep degrade gracefully instead of
 aborting: hung jobs are killed after a wall-clock budget, failed jobs
-are retried a bounded number of times with exponential backoff, a
-crashed worker is replaced, and jobs that exhaust their retry budget
-are *quarantined* — recorded in the report's structured failure
-section while the rest of the fleet completes.
+go straight back on the queue a bounded number of times, a crashed
+worker is replaced, and jobs that exhaust their retry budget are
+*quarantined* — recorded in the report's structured failure section
+while the rest of the fleet completes.
 
-Everything here is deterministic on purpose.  Backoff jitter is seeded
-from the job digest (:func:`repro.sweep.digests.uniform`), never from a
-process RNG, so two machines replaying the same failing sweep sleep the
-same schedule — and the chaos tests can assert exact convergence.
+Every sweep runs under a policy: ``run_sweep`` defaults to
+``FailurePolicy()``.  Retries are not delayed, because every failure
+the engine retries is tied to the attempt, not to wall time: a crashed
+or killed worker is replaced by a fresh spawn, a corrupted payload is
+recomputed, chaos draws are keyed by ``(digest, attempt)``, and a
+deterministic exception fails the same way after any delay.
 """
 
 from __future__ import annotations
@@ -19,39 +21,27 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.sweep import digests
 
 
 @dataclass(frozen=True)
 class FailurePolicy:
     """How a sweep responds to job failures.
 
-    ``run_sweep(policy=None)`` is the legacy contract — the first
-    exception propagates and aborts the sweep.  Any policy, even
-    ``FailurePolicy()``, switches to degrade-gracefully semantics.
+    The defaults retry each failed job three times, quarantine it
+    after that, never time a job out and never abort the sweep.
     """
 
-    #: Per-job wall-clock budget in seconds (``None`` disables timeouts).
-    #: Enforced on every sweep with ``jobs >= 2``, a lone cache miss
-    #: included; at ``jobs == 1`` the serial path cannot kill itself.
+    #: Per-job wall-clock budget in seconds (``None`` disables timeouts),
+    #: counted from the moment a worker picks the job up.  Enforced on
+    #: every sweep with ``jobs >= 2``, a lone cache miss included; at
+    #: ``jobs == 1`` the serial path cannot kill itself.
     timeout_s: Optional[float] = None
     #: Failed attempts a job may burn before quarantine; the job runs at
     #: most ``max_retries + 1`` times.  Only the job that failed is
     #: charged, so this also bounds a job that keeps crashing workers.
     max_retries: int = 3
-    #: First-retry backoff delay in seconds.
-    backoff_base_s: float = 0.05
-    #: Multiplier applied per additional failure.
-    backoff_factor: float = 2.0
-    #: Upper bound on any single backoff delay.
-    backoff_max_s: float = 2.0
-    #: Jitter amplitude: a delay ``d`` becomes ``d * (1 ± jitter)``,
-    #: deterministically per (job digest, failure count).
-    jitter: float = 0.5
-    #: Abort the sweep at the first quarantined job.
-    fail_fast: bool = False
     #: Abort once more than this many jobs are quarantined
-    #: (``None`` = never; ``0`` behaves like ``fail_fast``).
+    #: (``None`` = never; ``0`` aborts at the first quarantine).
     max_failures: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -63,38 +53,10 @@ class FailurePolicy:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter}"
-            )
         if self.max_failures is not None and self.max_failures < 0:
             raise ConfigurationError(
                 f"max_failures must be >= 0, got {self.max_failures}"
             )
-
-    def backoff_s(self, digest: str, failures: int) -> float:
-        """Delay before the retry that follows the *failures*-th failure.
-
-        Exponential in the failure count, capped at ``backoff_max_s``,
-        with deterministic jitter derived from the job digest — no RNG
-        state, identical across machines and replays.
-        """
-        if failures < 1:
-            raise ConfigurationError(
-                f"backoff_s needs failures >= 1, got {failures}"
-            )
-        raw = min(
-            self.backoff_base_s * self.backoff_factor ** (failures - 1),
-            self.backoff_max_s,
-        )
-        u = digests.uniform(f"backoff|{digest}|{failures}")
-        return raw * (1.0 + self.jitter * (2.0 * u - 1.0))
 
 
 @dataclass

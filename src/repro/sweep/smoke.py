@@ -101,12 +101,7 @@ def run_smoke(
 CHAOS_SMOKE_CODE_VERSION = "chaos-smoke-v1"
 CHAOS_SMOKE_SPEC = "crash:0.3,hang:0.2,corrupt:0.3"
 CHAOS_SMOKE_SALT = "ci"
-CHAOS_SMOKE_POLICY = dict(
-    timeout_s=5.0,
-    max_retries=20,
-    backoff_base_s=0.02,
-    backoff_max_s=0.2,
-)
+CHAOS_SMOKE_POLICY = dict(timeout_s=5.0, max_retries=20)
 
 
 def run_chaos_smoke(jobs: int = 4, echo=print) -> int:

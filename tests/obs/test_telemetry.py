@@ -441,7 +441,7 @@ def failure_events():
          "attempt": 0},
         # Job 0 fails once and goes back to queued ...
         {"schema": 1, "kind": "job.retry", "t": 103.0, "job": 0,
-         "failures": 1, "delay_s": 0.05, "error": "ChaosCrash"},
+         "failures": 1, "error": "ChaosCrash"},
         {"schema": 1, "kind": "pool.restart", "t": 103.1, "reason": "crash",
          "restarts": 1},
         # ... then runs to completion on a fresh attempt.

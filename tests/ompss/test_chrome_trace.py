@@ -82,12 +82,5 @@ def test_profile_ends_at_zero():
     assert profile[-1] == (2, 0)
 
 
-def test_profile_samples_param_ignored():
-    intervals = [make(0, 1, 1)]
-    assert concurrency_profile(intervals, samples=3) == concurrency_profile(
-        intervals, samples=500
-    )
-
-
 def test_profile_empty():
     assert concurrency_profile([]) == []

@@ -188,7 +188,7 @@ def test_schedule_trace_sorted(sim):
 
 def test_concurrency_profile_chain_is_one(sim):
     result, g = _run_chain(sim)
-    profile = concurrency_profile(schedule_trace(result, g), samples=20)
+    profile = concurrency_profile(schedule_trace(result, g))
     assert all(c <= 1 for _, c in profile)
     assert any(c == 1 for _, c in profile)
 

@@ -1,10 +1,15 @@
 """Property-based tests of the resilience and I/O models."""
 
+import math
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.io import FileSystemSpec, ParallelFileSystem
 from repro.resilience import expected_runtime, simulate_checkpointed_run
+from repro.resilience.checkpoint import MAX_ATTEMPTS_PER_SEGMENT
 from repro.simkernel import Simulator
 
 
@@ -28,6 +33,11 @@ from repro.simkernel import Simulator
     mtbf=30.0,
     seed=0,
 )
+# A segment that survives with probability e^(-520/30) ~ 3e-8: the model
+# must refuse it up front instead of simulating ~1e8 failures.
+@example(
+    work=5000.0, interval=500.0, ckpt=20.0, restart=60.0, mtbf=30.0, seed=0
+)
 @settings(max_examples=40, deadline=None)
 def test_checkpointed_run_invariants(work, interval, ckpt, restart, mtbf, seed):
     sim = Simulator(seed=seed)
@@ -40,13 +50,16 @@ def test_checkpointed_run_invariants(work, interval, ckpt, restart, mtbf, seed):
         return stats
 
     driver = sim.process(p(sim))
+    exposure = (min(interval, work) + ckpt) / mtbf
+    if exposure > math.log(MAX_ATTEMPTS_PER_SEGMENT):
+        with pytest.raises(ConfigurationError, match="expected attempts"):
+            sim.run()
+        return
     sim.run()
     stats = driver.value
     # All declared work was committed, never more and never less.
     assert stats.work_s == work
     # Wall time covers at least work + the mandatory checkpoints.
-    import math
-
     min_ckpts = math.ceil(work / interval)
     assert stats.n_checkpoints >= min_ckpts
     assert stats.elapsed_s >= work + min_ckpts * ckpt - 1e-6
@@ -68,8 +81,6 @@ def test_checkpointed_run_invariants(work, interval, ckpt, restart, mtbf, seed):
 def test_expected_runtime_bounds(work, interval, ckpt, mtbf):
     t = expected_runtime(work, interval, ckpt, 3 * ckpt, mtbf)
     # Never faster than the failure-free checkpointed run.
-    import math
-
     assert t >= work
     # And monotone in the failure rate.
     t_safer = expected_runtime(work, interval, ckpt, 3 * ckpt, mtbf * 10)

@@ -21,7 +21,7 @@ SPEC = SweepSpec(
 
 
 # ---------------------------------------------------------------------------
-# FailurePolicy: validation and deterministic backoff
+# FailurePolicy: validation
 # ---------------------------------------------------------------------------
 
 
@@ -30,44 +30,11 @@ def test_policy_validation():
         dict(timeout_s=0.0),
         dict(timeout_s=-1.0),
         dict(max_retries=-1),
-        dict(backoff_base_s=-0.1),
-        dict(backoff_factor=0.5),
-        dict(jitter=1.0),
-        dict(jitter=-0.1),
         dict(max_failures=-1),
     ):
         with pytest.raises(ConfigurationError):
             FailurePolicy(**bad)
     FailurePolicy()  # defaults are valid
-
-
-def test_backoff_is_deterministic_and_grows_to_cap():
-    p = FailurePolicy(
-        backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=1.0, jitter=0.5
-    )
-    d = "a" * 64
-    delays = [p.backoff_s(d, n) for n in range(1, 9)]
-    assert delays == [p.backoff_s(d, n) for n in range(1, 9)]  # replayable
-    # Jitter stays within +-50% of the capped exponential schedule.
-    for n, delay in enumerate(delays, start=1):
-        raw = min(0.1 * 2.0 ** (n - 1), 1.0)
-        assert raw * 0.5 <= delay <= raw * 1.5
-    # Different jobs jitter differently (that is the point of the salt).
-    assert p.backoff_s(d, 1) != p.backoff_s("b" * 64, 1)
-
-
-def test_backoff_requires_at_least_one_failure():
-    with pytest.raises(ConfigurationError):
-        FailurePolicy().backoff_s("a" * 64, 0)
-
-
-def test_backoff_zero_jitter_is_exact():
-    p = FailurePolicy(
-        backoff_base_s=0.2, backoff_factor=3.0, backoff_max_s=10.0, jitter=0.0
-    )
-    assert p.backoff_s("x", 1) == pytest.approx(0.2)
-    assert p.backoff_s("x", 2) == pytest.approx(0.6)
-    assert p.backoff_s("x", 3) == pytest.approx(1.8)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +83,7 @@ def test_chaos_draw_is_deterministic_per_digest_and_attempt():
 
 
 # ---------------------------------------------------------------------------
-# Serial sweeps: retries, quarantine, integrity, legacy semantics
+# Serial sweeps: retries, quarantine, integrity, abort
 # ---------------------------------------------------------------------------
 
 
@@ -134,15 +101,20 @@ def boom_experiment():
     del EXPERIMENTS["boom"]
 
 
-def test_legacy_no_policy_propagates(boom_experiment):
-    with pytest.raises(RuntimeError, match="boom"):
-        run_sweep(boom_experiment, jobs=1)
+def test_default_policy_quarantines_job_errors(boom_experiment):
+    # No policy argument is the default policy, not a raise path: a job
+    # exception is retried and quarantined like any other failure.
+    report = run_sweep(boom_experiment, jobs=1)
+    assert not report.results and not report.aborted
+    assert len(report.failures) == 3
+    assert all(f.attempts == 4 for f in report.failures)  # 1 try + 3 retries
+    assert all(f.error_class == "RuntimeError" for f in report.failures)
 
 
 def test_exhausted_retries_quarantine_without_killing_the_sweep(
     boom_experiment,
 ):
-    policy = FailurePolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
+    policy = FailurePolicy(max_retries=2)
     report = run_sweep(boom_experiment, jobs=1, policy=policy)
     assert not report.ok and not report.aborted
     assert len(report.failures) == 3 and not report.results
@@ -161,18 +133,14 @@ def test_exhausted_retries_quarantine_without_killing_the_sweep(
 
 
 def test_fail_fast_aborts_after_first_quarantine(boom_experiment):
-    policy = FailurePolicy(
-        max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0, fail_fast=True
-    )
+    policy = FailurePolicy(max_retries=0, max_failures=0)
     report = run_sweep(boom_experiment, jobs=1, policy=policy)
     assert report.aborted
     assert len(report.failures) == 1  # seeds 1, 2 never started
 
 
 def test_max_failures_bounds_quarantines(boom_experiment):
-    policy = FailurePolicy(
-        max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0, max_failures=1
-    )
+    policy = FailurePolicy(max_retries=0, max_failures=1)
     report = run_sweep(boom_experiment, jobs=1, policy=policy)
     assert report.aborted
     assert len(report.failures) == 2  # tolerated 1, aborted on the 2nd
@@ -180,7 +148,7 @@ def test_max_failures_bounds_quarantines(boom_experiment):
 
 def test_serial_corrupt_chaos_is_caught_and_quarantined(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1")
-    policy = FailurePolicy(max_retries=1, backoff_base_s=0.0, backoff_max_s=0.0)
+    policy = FailurePolicy(max_retries=1)
     report = run_sweep(SPEC, jobs=1, policy=policy)
     # Every attempt corrupts; the checksum must catch every one.
     assert not report.results and len(report.failures) == 2
@@ -188,15 +156,19 @@ def test_serial_corrupt_chaos_is_caught_and_quarantined(monkeypatch):
 
 
 def test_chaos_auto_arms_a_default_policy(monkeypatch):
+    # Chaos no longer selects the policy: the default one is always armed,
+    # so a chaotic sweep with no policy argument quarantines, not raises.
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1")
     report = run_sweep(SPEC, jobs=1)  # no policy passed
     assert len(report.failures) == 2  # quarantined, not raised
+    assert all(f.attempts == 4 for f in report.failures)  # 1 try + 3 retries
+    assert all(f.error_class == "ResultIntegrityError" for f in report.failures)
 
 
 def test_quarantined_jobs_never_reach_the_cache(monkeypatch, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1")
-    policy = FailurePolicy(max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0)
+    policy = FailurePolicy(max_retries=0)
     report = run_sweep(SPEC, jobs=1, cache=cache, policy=policy)
     assert len(report.failures) == 2
     monkeypatch.delenv("REPRO_CHAOS")
@@ -209,7 +181,7 @@ def test_quarantine_records_fleet_manifest(monkeypatch, tmp_path):
 
     cache = ResultCache(tmp_path / "cache")
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1")
-    policy = FailurePolicy(max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0)
+    policy = FailurePolicy(max_retries=0)
     report = run_sweep(SPEC, jobs=1, cache=cache, policy=policy)
     assert len(report.failures) == 2
     manifests = FleetIndex.at_cache_root(cache.root).load()
@@ -233,9 +205,7 @@ def test_serial_chaos_converges_to_clean_digest(monkeypatch):
     monkeypatch.setenv("REPRO_SWEEP_CODE_VERSION", "test-policy-parity-v1")
     clean = run_sweep(SPEC, jobs=1)
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:0.5")
-    policy = FailurePolicy(
-        max_retries=10, backoff_base_s=0.0, backoff_max_s=0.0
-    )
+    policy = FailurePolicy(max_retries=10)
     chaotic = run_sweep(SPEC, jobs=1, policy=policy)
     assert chaotic.ok
     assert chaotic.digest() == clean.digest()
@@ -283,9 +253,7 @@ def test_pool_recovers_from_a_worker_crash(monkeypatch):
     clean = run_sweep(SPEC, jobs=1)
     monkeypatch.setenv("REPRO_CHAOS", "crash:0.5")
     monkeypatch.setenv("REPRO_CHAOS_SALT", salt)
-    policy = FailurePolicy(
-        max_retries=4, backoff_base_s=0.0, backoff_max_s=0.0,
-    )
+    policy = FailurePolicy(max_retries=4)
     report = run_sweep(SPEC, jobs=2, policy=policy)
     assert report.ok, [f.as_dict() for f in report.failures]
     assert report.n_pool_restarts == 1 and report.n_retries == 1
@@ -306,7 +274,7 @@ def test_pool_crash_blames_only_the_crashed_job(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "crash:0.3,hang:0.3")
     monkeypatch.setenv("REPRO_CHAOS_SALT", salt)
     monkeypatch.setenv("REPRO_CHAOS_HANG_S", "2")
-    policy = FailurePolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
+    policy = FailurePolicy(max_retries=2)
     report = run_sweep(SPEC, jobs=2, policy=policy)
     assert report.ok, [f.as_dict() for f in report.failures]
     assert report.n_retries == 1 and report.n_pool_restarts == 1
@@ -318,9 +286,7 @@ def test_pool_crash_blames_only_the_crashed_job(monkeypatch):
 def test_pool_timeout_kills_and_quarantines_hung_jobs(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "hang:1")
     monkeypatch.setenv("REPRO_CHAOS_HANG_S", "60")
-    policy = FailurePolicy(
-        timeout_s=1.0, max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0
-    )
+    policy = FailurePolicy(timeout_s=1.0, max_retries=0)
     report = run_sweep(SPEC, jobs=2, policy=policy)
     assert not report.results and len(report.failures) == 2
     assert all(f.timed_out for f in report.failures)
@@ -330,7 +296,7 @@ def test_pool_timeout_kills_and_quarantines_hung_jobs(monkeypatch):
 
 def test_pool_crash_loop_is_bounded_by_each_jobs_retries(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "crash:1")
-    policy = FailurePolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
+    policy = FailurePolicy(max_retries=2)
     report = run_sweep(SPEC, jobs=2, policy=policy)
     assert not report.aborted and not report.results
     assert len(report.failures) == 2
@@ -348,10 +314,27 @@ def test_lone_pooled_miss_still_times_out(monkeypatch):
     spec = SweepSpec(
         experiments=["pingpong"], seeds=[0], overrides=SPEC.overrides
     )
-    policy = FailurePolicy(
-        timeout_s=1.0, max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0
-    )
+    policy = FailurePolicy(timeout_s=1.0, max_retries=0)
     report = run_sweep(spec, jobs=4, policy=policy)
     assert report.n_timeouts == 1
     assert not report.results and len(report.failures) == 1
     assert report.failures[0].timed_out
+
+
+def test_timeout_budget_runs_from_job_start(monkeypatch, tmp_path):
+    # A fresh worker spends a good part of a second spawning and
+    # importing before it picks the job up; none of that may be charged
+    # to the job's budget.
+    from repro.obs.telemetry import read_events
+
+    monkeypatch.setenv("REPRO_CHAOS", "hang:1")
+    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "3")
+    spec = SweepSpec(
+        experiments=["pingpong"], seeds=[0], overrides=SPEC.overrides
+    )
+    channel = tmp_path / "telemetry.jsonl"
+    policy = FailurePolicy(timeout_s=1.0, max_retries=0)
+    report = run_sweep(spec, jobs=4, policy=policy, telemetry=channel)
+    assert report.n_timeouts == 1
+    t = {e["kind"]: e["t"] for e in read_events(channel)}
+    assert t["job.timeout"] - t["job.start"] >= policy.timeout_s

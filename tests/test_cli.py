@@ -104,7 +104,7 @@ class TestParseSeeds:
         assert "empty" in capsys.readouterr().err
 
 
-# -- failure policy (sweep --retries/--fail-fast, exit code 4) ---------------
+# -- failure policy (sweep --retries/--max-failures, exit code 4) ------------
 
 
 class TestFailurePolicyCli:
@@ -124,7 +124,7 @@ class TestFailurePolicyCli:
         assert "timeout_s" in capsys.readouterr().err
 
     def test_clean_run_with_policy_flags_exits_0(self, capsys):
-        assert main([*self.SWEEP, "--retries", "2", "--fail-fast"]) == 0
+        assert main([*self.SWEEP, "--retries", "2", "--max-failures", "0"]) == 0
         err = capsys.readouterr().err
         assert "QUARANTINED" not in err and "failure policy" not in err
 
